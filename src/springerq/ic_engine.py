@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .partitions import OrbitLabel, Partition, has_gaps, is_richardson
-from .qseries import LaurentPoly, ONE, gaussian_binomial, og_poincare
+from .qseries import LaurentPoly, ONE, ZERO, gaussian_binomial, og_poincare
 from ._util import binom
 
 __all__ = [
@@ -76,12 +77,17 @@ class StalkTable:
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Symmetric multiplicity polynomials T^i_j, 1 <= i <= rank, 0 <= j <= i."""
+    """Symmetric multiplicity polynomials T^i_j, 1 <= i <= rank, 0 <= j <= i.
+
+    entries is a read-only view of a private copy: solved tables are memoized
+    and shared across ranks, so no caller may change them.
+    """
 
     rank: int
-    entries: dict[tuple[int, int], LaurentPoly]
+    entries: Mapping[tuple[int, int], LaurentPoly]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for (i, j), poly in self.entries.items():
             if not poly.is_symmetric() or not poly.nonneg_coeffs():
                 raise ValueError(f"T^{i}_{j} must be symmetric with nonnegative coefficients")
@@ -142,25 +148,19 @@ def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
 def _peel_symmetric(residue: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Split residue = (symmetric part) + (negatively supported remainder).
 
-    Works down from the top exponent; each positive coefficient c at q^k is
-    matched by c at q^-k, and the k = 0 coefficient is subtracted once.
+    The symmetric part repeats each coefficient c at q^k, k >= 0, at q^-k,
+    and the remainder is residue minus it, supported below q^0: one pass
+    over the span.  A negative coefficient at q^k, k > 0, or at q^0 would be
+    a negative multiplicity and raises RuntimeError("inconsistent recursion").
     """
-    sym: dict[int, int] = {}
     top = residue.max_exp if not residue.is_zero else -1
-    for k in range(max(top, 0), 0, -1):
-        c = residue[k]
-        if c < 0:
-            raise RuntimeError("inconsistent recursion")
-        if c:
-            sym[k] = sym[-k] = c
-            residue = residue - LaurentPoly({k: c, -k: c})
-    c = residue[0]
-    if c < 0:
+    if top < 0:
+        return ZERO, residue
+    upper = residue.coefficients(0, top + 1)
+    if min(upper) < 0:
         raise RuntimeError("inconsistent recursion")
-    if c:
-        sym[0] = c
-        residue = residue - LaurentPoly({0: c})
-    return LaurentPoly(sym), residue
+    sym = LaurentPoly.from_coeffs(-top, upper[:0:-1] + upper)
+    return sym, residue - sym
 
 
 def closed_form_f(n: int, i: int) -> LaurentPoly:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,24 @@ def test_fano_pretty_sixteen_lines():
     code, out = run_cli(["fano", "--n", "2", "--i", "2"])
     assert code == 0
     assert out.splitlines()[1].split()[:3] == ["0", "0", "16"]
+
+
+def test_fano_json_big_integers_round_trip():
+    n, i = 40, 20
+    code, out = run_cli(["fano", "--n", str(n), "--i", str(i), "--format", "json"])
+    assert code == 0
+    table = json.loads(out)
+    values = table["l_dims"] + [row["betti"] for row in table["rows"]]
+    big = [v for v in values if isinstance(v, str)]
+    assert len(big) == 245
+    for v in big:
+        assert int(v) > 2**63 - 1 and str(int(v)) == v
+    assert all(-(2**63) <= v <= 2**63 - 1 for v in values if isinstance(v, int))
+    betti = [int(row["betti"]) for row in table["rows"]]
+    expected = sum(math.comb(2 * n + 1, j) * math.comb(2 * n - i - j, i - j) for j in range(i + 1))
+    assert sum(betti) == expected
+    assert betti == betti[::-1]
+    assert [row["terms"] for row in table["rows"]] == [row["terms"] for row in table["rows"][::-1]]
 
 
 def test_kostka_pretty_prints_bare_number():

@@ -1,6 +1,8 @@
 """The inductive stalk solver, closed forms, and the Fourier-transform table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from springerq.ic_engine import (
     MultiplicityTable,
@@ -14,10 +16,11 @@ from springerq.ic_engine import (
     ft_table,
     ic_stalk_poly,
     order_two_partition,
+    _peel_symmetric,
     solve_stalk_tables,
 )
 from springerq.partitions import Partition
-from springerq.qseries import LaurentPoly, ONE, og_poincare
+from springerq.qseries import LaurentPoly, ONE, ZERO, og_poincare
 
 P = Partition
 
@@ -85,14 +88,43 @@ def test_closed_form_examples():
         closed_form_t(2, 1, 2)
 
 
-def test_solver_matches_closed_forms():
-    for n in range(1, 9):
+def check_solver_against_closed_forms(n_max):
+    for n in range(1, n_max + 1):
         stalks, mult = solve_stalk_tables(n)
         for i in range(n + 1):
             assert stalks.f[i] == closed_form_f(n, i), (n, i)
         for i in range(1, n + 1):
             for j in range(i + 1):
                 assert mult.t(i, j) == closed_form_t(n, i, j), (n, i, j)
+
+
+def test_solver_matches_closed_forms():
+    check_solver_against_closed_forms(8)
+
+
+def test_solver_matches_closed_forms_through_rank_24():
+    check_solver_against_closed_forms(24)
+
+
+def test_multiplicity_entries_are_read_only():
+    mult = solve_stalk_tables(3)[1]
+    with pytest.raises(TypeError):
+        mult.entries[(1, 0)] = None
+    with pytest.raises(TypeError):
+        del mult.entries[(1, 0)]
+    assert solve_stalk_tables(3)[1].t(1, 0) == closed_form_t(3, 1, 0)
+    # rank 4 aliases the rank-3 entries through the cross-rank reduction
+    mult4 = solve_stalk_tables(4)[1]
+    for i in range(1, 5):
+        for j in range(i + 1):
+            assert mult4.t(i, j) == closed_form_t(4, i, j), (i, j)
+
+
+def test_multiplicity_table_copies_its_entries():
+    entries = {(1, 1): ONE, (1, 0): LaurentPoly({-1: 1, 0: 1, 1: 1})}
+    table = MultiplicityTable(1, entries)
+    entries[(1, 0)] = ZERO
+    assert table.t(1, 0) == LaurentPoly({-1: 1, 0: 1, 1: 1})
 
 
 def test_cross_rank_reduction():
@@ -146,6 +178,73 @@ def test_table_validation():
         MultiplicityTable(1, {(1, 1): LaurentPoly({1: 1})})  # not symmetric
     with pytest.raises(ValueError):
         MultiplicityTable(1, {(1, 0): LaurentPoly({-1: -1, 1: -1})})  # negative
+
+
+# -- peeling the symmetric part ---------------------------------------------------
+
+
+def peel_per_coefficient(residue):
+    """Reference peel: one subtraction per coefficient, from the top exponent down."""
+    sym = {}
+    top = residue.max_exp if not residue.is_zero else -1
+    for k in range(max(top, 0), 0, -1):
+        c = residue[k]
+        if c < 0:
+            raise RuntimeError("inconsistent recursion")
+        if c:
+            sym[k] = sym[-k] = c
+            residue = residue - LaurentPoly({k: c, -k: c})
+    c = residue[0]
+    if c < 0:
+        raise RuntimeError("inconsistent recursion")
+    if c:
+        sym[0] = c
+        residue = residue - LaurentPoly({0: c})
+    return LaurentPoly(sym), residue
+
+
+def test_peel_hand_residues():
+    residue = LaurentPoly({2: 1, 1: 3, 0: 2, -1: 5, -2: 1, -4: 7})
+    assert _peel_symmetric(residue) == (
+        LaurentPoly({2: 1, 1: 3, 0: 2, -1: 3, -2: 1}),
+        LaurentPoly({-1: 2, -4: 7}),
+    )
+    # the remainder may reach below the residue's own support
+    assert _peel_symmetric(LaurentPoly({3: 2})) == (
+        LaurentPoly({3: 2, -3: 2}),
+        LaurentPoly({-3: -2}),
+    )
+    assert _peel_symmetric(LaurentPoly({0: 4, -2: 1})) == (LaurentPoly({0: 4}), LaurentPoly({-2: 1}))
+    negative = LaurentPoly({-1: 1, -3: -2})
+    assert _peel_symmetric(negative) == (ZERO, negative)
+    assert _peel_symmetric(ZERO) == (ZERO, ZERO)
+
+
+def test_peel_rejects_negative_multiplicities():
+    with pytest.raises(RuntimeError, match="inconsistent recursion"):
+        _peel_symmetric(LaurentPoly({3: 1, 2: -1, 0: 1, -3: 1}))  # negative at q^2
+    with pytest.raises(RuntimeError, match="inconsistent recursion"):
+        _peel_symmetric(LaurentPoly({1: 1, 0: -1, -1: 1}))  # negative constant term
+    with pytest.raises(RuntimeError, match="inconsistent recursion"):
+        _peel_symmetric(LaurentPoly({0: -1, -2: 5}))
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(
+    st.integers(min_value=-12, max_value=12),
+    st.one_of(st.integers(min_value=-1, max_value=9), st.integers(min_value=0, max_value=2**70)),
+    max_size=14,
+).map(LaurentPoly))
+def test_peel_matches_per_coefficient_reference(residue):
+    try:
+        expected = peel_per_coefficient(residue)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="inconsistent recursion"):
+            _peel_symmetric(residue)
+        return
+    sym, remainder = _peel_symmetric(residue)
+    assert (sym, remainder) == expected
+    assert sym.is_symmetric() and sym + remainder == residue
 
 
 # -- stalk polynomials at arbitrary base points ---------------------------------

@@ -58,6 +58,25 @@ def test_shift_subs_reciprocal():
     assert not LaurentPoly({-1: 1, 2: 1}).is_symmetric()
 
 
+@settings(max_examples=100)
+@given(polys, st.integers(min_value=-9, max_value=9), st.integers(min_value=0, max_value=12))
+def test_dense_coefficient_round_trip(p, start, width):
+    coeffs = p.coefficients(start, start + width)
+    assert coeffs == [p[e] for e in range(start, start + width)]
+    if p:
+        lo = p.min_exp - 2
+        assert LaurentPoly.from_coeffs(lo, p.coefficients(lo, p.max_exp + 3)) == p
+
+
+def test_from_coeffs_trims_and_checks_types():
+    assert LaurentPoly.from_coeffs(-2, [0, 0, 1, 0, 3, 0]) == LaurentPoly({0: 1, 2: 3})
+    assert LaurentPoly.from_coeffs(5, [0, 0]) == ZERO
+    with pytest.raises(TypeError):
+        LaurentPoly.from_coeffs(0, [1, 2.0])
+    with pytest.raises(TypeError):
+        LaurentPoly.from_coeffs(0.5, [1])
+
+
 def test_pow():
     assert (ONE + Q) ** 2 == LaurentPoly({0: 1, 1: 2, 2: 1})
     assert Q**0 == ONE

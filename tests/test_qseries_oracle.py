@@ -1,0 +1,249 @@
+"""Differential tests of LaurentPoly arithmetic against independent oracles.
+
+Two oracles live here and share no code with springerq.qseries: a schoolbook
+product and a long division over plain dicts (exponent -> coefficient), and
+sympy's Poly over ZZ after shifting to nonnegative exponents.  The inputs
+cover both multiplication paths (shifted scalar multiples and Kronecker
+substitution, with slots of machine width and wider), negative coefficients
+and coefficients beyond 2^64, supports with interior gaps, and the 1 - q^l
+division path on exact and inexact dividends.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from springerq import qseries
+from springerq.qseries import ONE, LaurentPoly, one_minus_q
+
+SMALL = st.integers(min_value=-9, max_value=9)
+HUGE = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@st.composite
+def poly_dicts(draw, max_terms=40, max_width=60):
+    """Exponent -> coefficient dicts with gapped supports; small or huge coefficients."""
+    lo = draw(st.integers(min_value=-20, max_value=20))
+    width = draw(st.integers(min_value=0, max_value=max_width))
+    coeff = draw(st.sampled_from([SMALL, HUGE]))
+    exps = draw(st.lists(st.integers(min_value=lo, max_value=lo + width), max_size=max_terms))
+    return {e: draw(coeff) for e in exps}
+
+
+def nonzero_poly_dicts(**kwargs):
+    return poly_dicts(**kwargs).filter(lambda d: any(d.values()))
+
+
+def trimmed(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def oracle_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return trimmed(out)
+
+
+def oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return trimmed(out)
+
+
+def oracle_div(a, b):
+    """Long division of dicts from the top term; ArithmeticError unless exact."""
+    a, b = trimmed(a), trimmed(b)
+    if not a:
+        return {}
+    b_min, b_max = min(b), max(b)
+    lowest_shift = min(a) - b_min
+    quot = {}
+    while a:
+        top = max(a)
+        shift = top - b_max
+        if shift < lowest_shift or a[top] % b[b_max]:
+            raise ArithmeticError("inexact")
+        c = a[top] // b[b_max]
+        quot[shift] = c
+        a = oracle_add(a, {e + shift: c * x for e, x in b.items()}, sign=-1)
+    return quot
+
+
+def as_dict(p):
+    return dict(p.to_pairs())
+
+
+def dense(p):
+    """Coefficient tuple of p from min_exp to max_exp, zeros included."""
+    pairs = dict(p.to_pairs())
+    return tuple(pairs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1))
+
+
+def div_or_error(a, b):
+    try:
+        return as_dict(a.exact_div(b))
+    except ArithmeticError:
+        return "inexact"
+
+
+def oracle_div_or_error(a, b):
+    try:
+        return oracle_div(a, b)
+    except ArithmeticError:
+        return "inexact"
+
+
+# -- against the dict oracles ----------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(poly_dicts(), poly_dicts())
+def test_add_sub_mul_match_dict_oracle(a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    a, b = trimmed(a), trimmed(b)
+    assert as_dict(pa + pb) == oracle_add(a, b)
+    assert as_dict(pa - pb) == oracle_add(a, b, sign=-1)
+    assert as_dict(pa * pb) == oracle_mul(a, b)
+    assert as_dict(-pa) == {e: -c for e, c in a.items()}
+
+
+@settings(max_examples=100)
+@given(nonzero_poly_dicts(), nonzero_poly_dicts())
+def test_both_multiplication_paths_match_dict_oracle(a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    expected = oracle_mul(trimmed(a), trimmed(b))
+    lo = pa.min_exp + pb.min_exp
+    for path in (qseries._mul_scaled_shifts, qseries._mul_kronecker):
+        got = path(dense(pa), dense(pb))
+        assert {lo + k: c for k, c in enumerate(got) if c} == expected, path.__name__
+
+
+def test_kronecker_slot_widths():
+    # the bound 12 * big^2 needs slots of 1, 2, 3 (so 4), 5 (so 8), 9, 17
+    # and 51 bytes, the last three wider than a machine integer
+    for big in (3, 40, 200, 60_000, 2**30, 2**64, 2**200):
+        a = tuple((-1) ** k * big for k in range(12))
+        b = tuple(big - k % 2 for k in range(9))
+        expected = oracle_mul(dict(enumerate(a)), dict(enumerate(b)))
+        got = qseries._mul_kronecker(a, b)
+        assert {k: c for k, c in enumerate(got) if c} == expected, big
+
+
+@settings(max_examples=100)
+@given(poly_dicts(max_terms=6, max_width=6), st.integers(min_value=0, max_value=5))
+def test_pow_matches_repeated_oracle_product(a, k):
+    expected = {0: 1}
+    for _ in range(k):
+        expected = oracle_mul(expected, trimmed(a))
+    assert as_dict(LaurentPoly(a) ** k) == expected
+
+
+@settings(max_examples=100)
+@given(poly_dicts(), st.integers(min_value=1, max_value=15), poly_dicts(max_terms=3))
+def test_one_minus_q_division_matches_dict_oracle(quot, l, noise):
+    divisor = one_minus_q(l)
+    product = LaurentPoly(quot) * divisor
+    assert product.exact_div(divisor) == LaurentPoly(quot)
+    perturbed = product + LaurentPoly(noise)
+    assert div_or_error(perturbed, divisor) == oracle_div_or_error(as_dict(perturbed), as_dict(divisor))
+
+
+@settings(max_examples=100)
+@given(poly_dicts(max_terms=12, max_width=20), nonzero_poly_dicts(max_terms=6, max_width=10),
+       poly_dicts(max_terms=2))
+def test_general_division_matches_dict_oracle(quot, div, noise):
+    divisor = LaurentPoly(div)
+    product = LaurentPoly(quot) * divisor
+    assert product.exact_div(divisor) == LaurentPoly(quot)
+    perturbed = product + LaurentPoly(noise)
+    assert div_or_error(perturbed, divisor) == oracle_div_or_error(as_dict(perturbed), as_dict(divisor))
+
+
+@settings(max_examples=100)
+@given(poly_dicts(), st.integers(min_value=-20, max_value=20),
+       st.sampled_from([1, -1, 2, -3, 2**70]))
+def test_monomial_division_matches_dict_oracle(a, m, c):
+    divisor = LaurentPoly({m: c})
+    pa = LaurentPoly(a)
+    assert div_or_error(pa, divisor) == oracle_div_or_error(trimmed(a), {m: c})
+    assert (pa * divisor).exact_div(divisor) == pa
+
+
+def test_one_minus_q_rejects_dividends_shorter_than_divisor():
+    for l in range(1, 8):
+        divisor = one_minus_q(l)
+        for deg in range(l):  # degree below l, the span of the divisor
+            dividend = LaurentPoly({0: 1, deg: 2})
+            with pytest.raises(ArithmeticError):
+                dividend.exact_div(divisor)
+            with pytest.raises(ArithmeticError):
+                dividend.shift(-5).exact_div(divisor)
+        assert divisor.exact_div(divisor) == ONE
+
+
+def test_one_minus_q_rejects_nonzero_top_slots():
+    quot = LaurentPoly({-2: 3, 0: -1, 1: 5, 4: 2})
+    for l in range(1, 7):
+        exact = quot * one_minus_q(l)
+        for k in range(exact.max_exp - l + 1, exact.max_exp + 1):  # the top l slots
+            for c in (1, -7, 2**65):
+                with pytest.raises(ArithmeticError):
+                    (exact + LaurentPoly({k: c})).exact_div(one_minus_q(l))
+
+
+# -- against sympy ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, p):
+    """(lowest exponent, sympy Poly of the shifted polynomial) for nonzero p."""
+    lo = p.min_exp
+    terms = {(e - lo,): c for e, c in p.to_pairs()}
+    return lo, sympy.Poly.from_dict(terms, sympy.Symbol("q"), domain=sympy.ZZ)
+
+
+def from_sympy(lo, poly):
+    return LaurentPoly({k + lo: int(c) for (k,), c in poly.terms() if c})
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonzero_poly_dicts(), nonzero_poly_dicts())
+def test_ring_operations_match_sympy(sympy, a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    lo_a, sa = to_sympy(sympy, pa)
+    lo_b, sb = to_sympy(sympy, pb)
+    assert pa * pb == from_sympy(lo_a + lo_b, sa * sb)
+    lo = min(lo_a, lo_b)
+    q = sympy.Symbol("q")
+    sa_lo = sa * sympy.Poly(q ** (lo_a - lo), q, domain=sympy.ZZ)
+    sb_lo = sb * sympy.Poly(q ** (lo_b - lo), q, domain=sympy.ZZ)
+    assert pa + pb == from_sympy(lo, sa_lo + sb_lo)
+    assert pa - pb == from_sympy(lo, sa_lo - sb_lo)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonzero_poly_dicts(max_terms=12, max_width=20), st.one_of(
+    st.integers(min_value=1, max_value=15).map(one_minus_q),
+    nonzero_poly_dicts(max_terms=6, max_width=10).map(LaurentPoly),
+), poly_dicts(max_terms=2))
+def test_exact_div_matches_sympy(sympy, quot, divisor, noise):
+    dividend = LaurentPoly(quot) * divisor + LaurentPoly(noise)
+    if dividend.is_zero:
+        return
+    lo_a, sa = to_sympy(sympy, dividend)
+    lo_b, sb = to_sympy(sympy, divisor)
+    quotient, remainder = sa.div(sb)  # over QQ
+    exact = remainder.is_zero and all(c.is_integer for c in quotient.coeffs())
+    expected = from_sympy(lo_a - lo_b, quotient) if exact else "inexact"
+    try:
+        got = dividend.exact_div(divisor)
+    except ArithmeticError:
+        got = "inexact"
+    assert got == expected
