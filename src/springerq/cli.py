@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -55,34 +56,38 @@ def _jint(v):
     return v if _I64_MIN <= v <= _I64_MAX else str(v)
 
 
-def _jpoly(p):
-    """Canonical JSON form of a Laurent polynomial."""
-    return p.json_pairs()
+def _cell(v) -> str:
+    """Text of one tsv or pretty cell: None is empty, bools read true/false."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
 
 
-def _emit(text: str) -> None:
+def _output(args, doc, header, rows, pretty=None) -> None:
+    """Write the command's result to stdout in args.format.
+
+    json writes doc; tsv and pretty write header and rows, an iterable that
+    is consumed only by those two formats.  pretty, when given, is the whole
+    pretty text and replaces the aligned table.
+    """
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "tsv":
+        text = "".join("\t".join(map(_cell, r)) + "\n" for r in itertools.chain([header], rows))
+    elif pretty is not None:
+        text = pretty
+    else:
+        cells = [header] + [[_cell(v) for v in row] for row in rows]
+        widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
+        text = "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
+                       for r in cells)
     sys.stdout.write(text)
 
 
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n")
-
-
-def _emit_tsv(header: list[str], rows: list[list]) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join("" if v is None else str(v) for v in row))
-    _emit("\n".join(lines) + "\n")
-
-
-def _emit_table(header: list[str], rows: list[list]) -> None:
-    cells = [header] + [["" if v is None else str(v) for v in row] for row in rows]
-    widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-    for r in cells:
-        _emit("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
-
-
-# -- orbits ------------------------------------------------------------------
+_ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
+                 "is_relevant", "ft_support", "ft_support_name"]
 
 
 def _cmd_orbits(args) -> int:
@@ -95,239 +100,136 @@ def _cmd_orbits(args) -> int:
     for p in labels:
         orbit = OrbitLabel(n, p)
         info = ft_support_info(orbit, "trivial")
-        rows.append(
-            {
-                "partition": p.serialize(),
-                "dim": orbit_dim(orbit),
-                "codim": dim_centralizer(p),
-                "has_gaps": has_gaps(p),
-                "is_richardson": is_richardson(p),
-                "is_relevant": is_relevant_full(p),
-                "ft_support": info.flag,
-                "ft_support_name": info.support_name,
-            }
-        )
-    if args.format == "json":
-        _emit_json({"n": n, "count": len(rows), "rows": rows})
-    else:
-        header = ["partition", "dim", "codim", "has_gaps", "is_richardson",
-                  "is_relevant", "ft_support", "ft_support_name"]
-        table = [[r[h] for h in header] for r in rows]
-        for row in table:
-            for c in (3, 4, 5):
-                row[c] = "true" if row[c] else "false"
-        (_emit_tsv if args.format == "tsv" else _emit_table)(header, table)
+        rows.append(dict(zip(_ORBIT_FIELDS, (
+            p.serialize(), orbit_dim(orbit), dim_centralizer(p), has_gaps(p), is_richardson(p),
+            is_relevant_full(p), info.flag, info.support_name))))
+    _output(args, {"n": n, "count": len(rows), "rows": rows}, _ORBIT_FIELDS,
+            ([r[h] for h in _ORBIT_FIELDS] for r in rows))
     return 0
-
-
-# -- stalks ------------------------------------------------------------------
 
 
 def _cmd_stalks(args) -> int:
     n = args.n
-    stalks, mult = solve_stalk_tables(n)
     if args.check:
-        for i in range(n + 1):
-            if stalks.f[i] != closed_form_f(n, i):
-                sys.stderr.write(f"stalks --check: f_{i} disagrees with closed form at rank {n}\n")
-                return 1
-        for i in range(1, n + 1):
-            for j in range(i + 1):
-                if mult.t(i, j) != closed_form_t(n, i, j):
-                    sys.stderr.write(
-                        f"stalks --check: T^{i}_{j} disagrees with closed form at rank {n}\n"
-                    )
-                    return 1
-    if args.format == "json":
-        _emit_json(
-            {
-                "rank": n,
-                "grading": GRADING_NOTE,
-                "f": [_jpoly(stalks.f[i]) for i in range(n + 1)],
-                "t": [[_jpoly(mult.t(i, j)) for j in range(i + 1)] for i in range(1, n + 1)],
-            }
-        )
-    else:
-        header = ["table", "i", "j", "poly"]
-        rows = [["f", i, None, str(stalks.f[i])] for i in range(n + 1)]
-        rows += [
-            ["t", i, j, str(mult.t(i, j))]
-            for i in range(1, n + 1)
-            for j in range(i + 1)
-        ]
-        (_emit_tsv if args.format == "tsv" else _emit_table)(header, rows)
+        _, failed = _first_failure(_suite_solver(n, first=n))
+        if failed is not None:
+            sys.stderr.write(f"stalks --check: {failed} disagrees with closed form\n")
+            return 1
+    stalks, mult = solve_stalk_tables(n)
+    doc = {
+        "rank": n,
+        "grading": GRADING_NOTE,
+        "f": [stalks.f[i].json_pairs() for i in range(n + 1)],
+        "t": [[mult.t(i, j).json_pairs() for j in range(i + 1)] for i in range(1, n + 1)],
+    }
+    rows = itertools.chain(
+        (["f", i, None, stalks.f[i]] for i in range(n + 1)),
+        (["t", i, j, mult.t(i, j)] for i in range(1, n + 1) for j in range(i + 1)),
+    )
+    _output(args, doc, ["table", "i", "j", "poly"], rows)
     return 0
-
-
-# -- fano --------------------------------------------------------------------
 
 
 def _cmd_fano(args) -> int:
     table = fano_multiplicities(args.n, args.i)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": table.rank,
-                "i": table.planes_index,
-                "complex_dim": table.complex_dim,
-                "l_dims": [_jint(d) for d in table.l_dims],
-                "rows": [
-                    {
-                        "k": row.k,
-                        "degree": 2 * row.k,
-                        "terms": [{"j": j, "mult": m} for j, m in row.terms],
-                        "betti": _jint(row.betti),
-                    }
-                    for row in table.rows
-                ],
-            }
-        )
-    else:
-        header = ["k", "degree", "betti", "terms"]
-        rows = [
-            [row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
-            for row in table.rows
-        ]
-        (_emit_tsv if args.format == "tsv" else _emit_table)(header, rows)
+    doc = {
+        "n": table.rank,
+        "i": table.planes_index,
+        "complex_dim": table.complex_dim,
+        "l_dims": [_jint(d) for d in table.l_dims],
+        "rows": [{"k": row.k, "degree": 2 * row.k,
+                  "terms": [{"j": j, "mult": m} for j, m in row.terms],
+                  "betti": _jint(row.betti)}
+                 for row in table.rows],
+    }
+    rows = ([row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
+            for row in table.rows)
+    _output(args, doc, ["k", "degree", "betti", "terms"], rows)
     return 0
 
 
-# -- kostka ------------------------------------------------------------------
-
-
-def _cmd_kostka(args, parser) -> int:
-    try:
-        shape = Partition.parse(args.shape)
-        weight = Partition.parse(args.weight)
-        value = kostka(shape, weight)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        _emit_json({"shape": shape.serialize(), "weight": weight.serialize(),
-                    "kostka": _jint(value)})
-    elif args.format == "tsv":
-        _emit_tsv(["shape", "weight", "kostka"],
-                  [[shape.serialize(), weight.serialize(), value]])
-    else:
-        _emit(f"{value}\n")
+def _cmd_kostka(args) -> int:
+    shape = Partition.parse(args.shape)
+    weight = Partition.parse(args.weight)
+    value = kostka(shape, weight)
+    doc = {"shape": shape.serialize(), "weight": weight.serialize(), "kostka": _jint(value)}
+    _output(args, doc, list(doc), [doc.values()], pretty=f"{value}\n")
     return 0
-
-
-# -- euler -------------------------------------------------------------------
 
 
 def _cmd_euler(args) -> int:
     n = args.n
-    rows = []
-    for i in range(n + 1):
-        for j in range(i + 1):
-            nontriv = euler_chi_nontrivial(n, i, j) if (i % 2 == 0 and i >= 2) else None
-            rows.append({"i": i, "j": j, "trivial": euler_chi_trivial(n, i, j),
-                         "nontrivial": nontriv})
-    if args.format == "json":
-        _emit_json({"n": n, "rows": rows})
-    else:
-        header = ["i", "j", "trivial", "nontrivial"]
-        table = [[r[h] for h in header] for r in rows]
-        (_emit_tsv if args.format == "tsv" else _emit_table)(header, table)
+    rows = [{"i": i, "j": j, "trivial": euler_chi_trivial(n, i, j),
+             "nontrivial": euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None}
+            for i in range(n + 1) for j in range(i + 1)]
+    header = ["i", "j", "trivial", "nontrivial"]
+    _output(args, {"n": n, "rows": rows}, header, ([r[h] for h in header] for r in rows))
     return 0
 
 
-# -- ft-table ----------------------------------------------------------------
-
-
 def _cmd_ft_table(args) -> int:
-    rows = ft_table(args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "rows": [
-                    {
-                        "i": r.i,
-                        "orbit": r.orbit.partition.serialize(),
-                        "trivial_dim": _jint(r.trivial_target_dim),
-                        "trivial_monodromy": r.trivial_monodromy,
-                        "nontrivial_dim": _jint(r.nontrivial_target_dim),
-                        "nontrivial_monodromy": r.nontrivial_monodromy,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    else:
-        header = ["i", "orbit", "trivial_dim", "trivial_monodromy",
-                  "nontrivial_dim", "nontrivial_monodromy"]
-        table = [
-            [r.i, r.orbit.partition.serialize(), r.trivial_target_dim,
-             r.trivial_monodromy, r.nontrivial_target_dim, r.nontrivial_monodromy]
-            for r in rows
-        ]
-        (_emit_tsv if args.format == "tsv" else _emit_table)(header, table)
+    rows = [{"i": r.i, "orbit": r.orbit.partition.serialize(),
+             "trivial_dim": _jint(r.trivial_target_dim), "trivial_monodromy": r.trivial_monodromy,
+             "nontrivial_dim": _jint(r.nontrivial_target_dim),
+             "nontrivial_monodromy": r.nontrivial_monodromy}
+            for r in ft_table(args.n)]
+    # a big dimension reads the same as a _jint decimal string and as an int
+    header = list(rows[0])
+    _output(args, {"n": args.n, "rows": rows}, header, ([r[h] for h in header] for r in rows))
     return 0
 
 
 # -- verify ------------------------------------------------------------------
+# Each suite yields (label, passed) per case, in a fixed order; the label
+# names the case as a counterexample.
+
+
+def _first_failure(cases):
+    """(number of cases passed before the first failure, its label or None)."""
+    passed = 0
+    for label, ok in cases:
+        if not ok:
+            return passed, label
+        passed += 1
+    return passed, None
 
 
 def _suite_poincare(n_max):
-    cases = 0
     for n in range(1, n_max + 1):
         for i in range(n + 1):
-            if not qseries.verify_sum_identity(n, i):
-                return cases, f"n={n} i={i}"
-            cases += 1
-    return cases, None
+            yield f"n={n} i={i}", qseries.verify_sum_identity(n, i)
 
 
-def _suite_solver(n_max):
-    cases = 0
-    solve_stalk_tables(n_max)
-    for n in range(1, n_max + 1):
+def _suite_solver(n_max, first=1):
+    for n in range(first, n_max + 1):
         stalks, mult = solve_stalk_tables(n)
         for i in range(n + 1):
-            if stalks.f[i] != closed_form_f(n, i):
-                return cases, f"f n={n} i={i}"
-            cases += 1
+            yield f"f n={n} i={i}", stalks.f[i] == closed_form_f(n, i)
         for i in range(1, n + 1):
             for j in range(i + 1):
-                if mult.t(i, j) != closed_form_t(n, i, j):
-                    return cases, f"t n={n} i={i} j={j}"
-                cases += 1
-    return cases, None
+                yield f"t n={n} i={i} j={j}", mult.t(i, j) == closed_form_t(n, i, j)
 
 
 def _suite_kostka(n_max):
-    cases = 0
     for n in range(1, n_max + 1):
         for i in range(n // 2 + 1):
             for j0 in range(i + 1):
                 shape = Partition((2,) * (i - j0) + (1,) * (n - 2 * i))
                 weight = Partition((1,) * (n - 2 * j0))
-                if kostka(shape, weight) != kostka_order_two_closed_form(n, i, j0):
-                    return cases, f"n={n} i={i} j0={j0}"
-                cases += 1
-    return cases, None
+                yield (f"n={n} i={i} j0={j0}",
+                       kostka(shape, weight) == kostka_order_two_closed_form(n, i, j0))
 
 
 def _suite_cc(n_max):
-    cases = 0
     for n in range(2, n_max + 1):
         for i in range(2, n + 1, 2):
-            if not verify_cc_identity(n, i):
-                return cases, f"n={n} i={i}"
-            cases += 1
-    return cases, None
+            yield f"n={n} i={i}", verify_cc_identity(n, i)
 
 
 def _suite_two_power(n_max):
-    cases = 0
     for n in range(1, n_max + 1):
         for j in range(n + 1):
-            if not verify_two_power_sum(n, j):
-                return cases, f"n={n} j={j}"
-            cases += 1
-    return cases, None
+            yield f"n={n} j={j}", verify_two_power_sum(n, j)
 
 
 # fixed ordering by suite name
@@ -344,97 +246,74 @@ def _cmd_verify(args) -> int:
     n_max = args.n_max
     results = []
     for name, suite in _SUITES:
-        cases, counterexample = suite(n_max)
+        cases, counterexample = _first_failure(suite(n_max))
         results.append({"name": name, "passed": counterexample is None,
                         "cases": cases, "counterexample": counterexample})
     ok = all(r["passed"] for r in results)
-    if args.format == "json":
-        _emit_json({"n_max": n_max, "ok": ok, "suites": results})
-    elif args.format == "tsv":
-        _emit_tsv(["name", "passed", "cases", "counterexample"],
-                  [[r["name"], "true" if r["passed"] else "false", r["cases"],
-                    r["counterexample"]] for r in results])
-    else:
-        width = max(len(r["name"]) for r in results)
-        for r in results:
-            if r["passed"]:
-                _emit(f"{r['name'].ljust(width)}  PASS  ({r['cases']} cases)\n")
-            else:
-                _emit(f"{r['name'].ljust(width)}  FAIL  at {r['counterexample']} "
-                      f"({r['cases']} cases passed before failure)\n")
-        _emit(f"{'all suites passed' if ok else 'verification failed'} (n_max={n_max})\n")
+    width = max(len(r["name"]) for r in results)
+    pretty = "".join(
+        f"{r['name'].ljust(width)}  PASS  ({r['cases']} cases)\n" if r["passed"] else
+        f"{r['name'].ljust(width)}  FAIL  at {r['counterexample']} "
+        f"({r['cases']} cases passed before failure)\n"
+        for r in results
+    ) + f"{'all suites passed' if ok else 'verification failed'} (n_max={n_max})\n"
+    header = ["name", "passed", "cases", "counterexample"]
+    _output(args, {"n_max": n_max, "ok": ok, "suites": results}, header,
+            ([r[h] for h in header] for r in results), pretty=pretty)
     return 0 if ok else 1
 
 
 # -- parser ------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    """argparse type for --n, --i and --n-max: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+_POSITIVE = dict(type=_positive_int, required=True)
+_N = [("--n", _POSITIVE)]
+
+# (name, help, function, flags); every subcommand also takes --format
+_COMMANDS = [
+    ("orbits", "orbit table for rank n", _cmd_orbits, _N),
+    ("stalks", "stalk polynomials f_i and multiplicities T^i_j", _cmd_stalks,
+     _N + [("--check", dict(action="store_true",
+                            help="cross-validate against the closed forms"))]),
+    ("fano", "cohomology table of the variety of (i-1)-planes", _cmd_fano,
+     _N + [("--i", _POSITIVE)]),
+    ("kostka", "Kostka number for a shape and content", _cmd_kostka,
+     [("--shape", dict(required=True)), ("--weight", dict(required=True))]),
+    ("euler", "local Euler characteristics of the order-two family", _cmd_euler, _N),
+    ("ft-table", "Fourier-transform classification of the order-two family", _cmd_ft_table, _N),
+    ("verify", "run every identity suite up to a rank bound", _cmd_verify,
+     [("--n-max", _POSITIVE)]),
+]
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="springerq",
         description="Exact orbit, stalk, Euler-characteristic and Fano tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **flags):
+    for name, help_text, run, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag, spec in flags.items():
+        for flag, spec in flags:
             p.add_argument(flag, **spec)
         p.add_argument("--format", choices=["pretty", "json", "tsv"], default="pretty")
-        return p
-
-    add("orbits", "orbit table for rank n",
-        **{"--n": dict(type=int, required=True)})
-    p = add("stalks", "stalk polynomials f_i and multiplicities T^i_j",
-            **{"--n": dict(type=int, required=True)})
-    p.add_argument("--check", action="store_true",
-                   help="cross-validate against the closed forms")
-    add("fano", "cohomology table of the variety of (i-1)-planes",
-        **{"--n": dict(type=int, required=True), "--i": dict(type=int, required=True)})
-    add("kostka", "Kostka number for a shape and content",
-        **{"--shape": dict(type=str, required=True), "--weight": dict(type=str, required=True)})
-    add("euler", "local Euler characteristics of the order-two family",
-        **{"--n": dict(type=int, required=True)})
-    add("ft-table", "Fourier-transform classification of the order-two family",
-        **{"--n": dict(type=int, required=True)})
-    add("verify", "run every identity suite up to a rank bound",
-        **{"--n-max": dict(type=int, required=True, dest="n_max")})
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
+        p.set_defaults(run=run)
     args = parser.parse_args(argv)
     try:
-        if args.command == "orbits":
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            return _cmd_orbits(args)
-        if args.command == "stalks":
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            return _cmd_stalks(args)
-        if args.command == "fano":
-            if args.n < 1 or not 1 <= args.i <= args.n:
-                parser.error("need --n >= 1 and 1 <= --i <= n")
-            return _cmd_fano(args)
-        if args.command == "kostka":
-            return _cmd_kostka(args, parser)
-        if args.command == "euler":
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            return _cmd_euler(args)
-        if args.command == "ft-table":
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            return _cmd_ft_table(args)
-        if args.command == "verify":
-            if args.n_max < 1:
-                parser.error("--n-max must be >= 1")
-            return _cmd_verify(args)
+        return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

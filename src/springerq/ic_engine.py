@@ -23,7 +23,7 @@ orbit dimensions in this family are even, so a is always an integer.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -106,10 +106,6 @@ class MultiplicityTable:
         return self.t(i, j)[k2 // 2]
 
 
-_tables_lock = threading.Lock()
-_tables_cache: dict[int, tuple[StalkTable, MultiplicityTable]] = {}
-
-
 def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
     """Solve the inductive system for every rank up to n; results are memoized.
 
@@ -119,13 +115,13 @@ def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    with _tables_lock:
-        for rank in range(1, n + 1):
-            if rank not in _tables_cache:
-                _tables_cache[rank] = _solve_rank(rank)
-        return _tables_cache[n]
+    # ascending warm-up keeps _solve_rank's recursion into smaller ranks one deep
+    for rank in range(1, n):
+        _solve_rank(rank)
+    return _solve_rank(n)
 
 
+@functools.cache
 def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
     f: list[LaurentPoly] = [ONE]
     entries: dict[tuple[int, int], LaurentPoly] = {}
@@ -133,7 +129,7 @@ def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
         entries[(i, i)] = ONE
         for j in range(1, i):
             # cross-rank reduction: T^i_j here is T^{i-j}_0 at rank n-j
-            entries[(i, j)] = _tables_cache[n - j][1].entries[(i - j, 0)]
+            entries[(i, j)] = _solve_rank(n - j)[1].entries[(i - j, 0)]
         residue = og_poincare(i, n).shift(-i * (2 * n - i + 1) // 2)
         for j in range(1, i):
             residue = residue - f[j] * entries[(i, j)]

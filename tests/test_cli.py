@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from springerq import cli
 from springerq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,11 +40,17 @@ GOLDEN_CASES = {
     "kostka_21_111.json": ["kostka", "--shape", "2,1", "--weight", "1,1,1", "--format", "json"],
     "verify_n2.json": ["verify", "--n-max", "2", "--format", "json"],
 }
+# The same argvs in the other two formats: <stem>.txt is pretty, <stem>.tsv is tsv.
+GOLDEN_TEXT_CASES = {
+    name[: -len("json")] + ext: [fmt if a == "json" else a for a in argv]
+    for name, argv in GOLDEN_CASES.items()
+    for ext, fmt in (("txt", "pretty"), ("tsv", "tsv"))
+}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + sorted(GOLDEN_TEXT_CASES))
 def test_golden_files_are_byte_stable(name):
-    code, out = run_cli(GOLDEN_CASES[name])
+    code, out = run_cli({**GOLDEN_CASES, **GOLDEN_TEXT_CASES}[name])
     assert code == 0
     assert out == (GOLDEN / name).read_text(), f"golden file {name} drifted"
 
@@ -136,21 +143,61 @@ def test_verify_passes_and_orders_suites_by_name():
     assert out.splitlines()[-1].startswith("all suites passed")
 
 
-def test_usage_errors_exit_2():
-    for argv in (
-        ["orbits", "--n", "0"],
-        ["stalks"],
-        ["fano", "--n", "2", "--i", "5"],
-        ["fano", "--n", "2", "--i", "0"],
-        ["kostka", "--shape", "1,2", "--weight", "1,1,1"],
-        ["kostka", "--shape", "2,1", "--weight", "2,2"],
-        ["euler", "--n", "-1"],
-        ["verify", "--n-max", "0"],
-        ["orbits", "--n", "1", "--format", "xml"],
-        ["no-such-command"],
+def test_stalks_check_reports_the_first_mismatch(monkeypatch, capsys):
+    closed_form_t = cli.closed_form_t
+    monkeypatch.setattr(
+        cli, "closed_form_t",
+        lambda n, i, j: closed_form_t(n, i, j).shift(1 if (i, j) == (2, 1) else 0),
+    )
+    code, out = run_cli(["stalks", "--n", "3", "--check", "--format", "json"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "stalks --check: t n=3 i=2 j=1 disagrees with closed form\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
+def test_verify_failure_names_the_counterexample(monkeypatch, fmt):
+    monkeypatch.setattr(cli, "verify_cc_identity", lambda n, i: (n, i) != (3, 2))
+    code, out = run_cli(["verify", "--n-max", "3", "--format", fmt])
+    assert code == 1
+    if fmt == "pretty":
+        lines = out.splitlines()
+        assert lines[0] == "cc-identity         FAIL  at n=3 i=2 (1 cases passed before failure)"
+        assert lines[-1] == "verification failed (n_max=3)"
+    elif fmt == "json":
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["suites"][0] == {"name": "cc-identity", "passed": False, "cases": 1,
+                                    "counterexample": "n=3 i=2"}
+    else:
+        assert out.splitlines()[1] == "cc-identity\tfalse\t1\tn=3 i=2"
+
+
+def test_usage_errors_exit_2(capsys):
+    # (argv, the flag a positive-int error must name, or None)
+    for argv, flag in (
+        (["orbits", "--n", "0"], "--n"),
+        (["orbits", "--n", "abc"], "--n"),
+        (["stalks"], None),
+        (["fano", "--n", "2", "--i", "5"], None),
+        (["fano", "--n", "2", "--i", "0"], "--i"),
+        (["fano", "--n", "0", "--i", "1"], "--n"),
+        (["kostka", "--shape", "1,2", "--weight", "1,1,1"], None),
+        (["kostka", "--shape", "2,1", "--weight", "2,2"], None),
+        (["kostka", "--shape", "x", "--weight", "1"], None),
+        (["euler", "--n", "-1"], "--n"),
+        (["ft-table", "--n", "0"], "--n"),
+        (["verify", "--n-max", "0"], "--n-max"),
+        (["orbits", "--n", "1", "--format", "xml"], None),
+        (["no-such-command"], None),
     ):
         code, _ = run_cli(argv)
+        err = capsys.readouterr().err
         assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err, argv
+        if flag is not None:
+            assert f"argument {flag}:" in err, argv
 
 
 def test_cli_runs_as_a_subprocess():
