@@ -4,20 +4,20 @@ labels and dimensions, and the Euler-characteristic identities they satisfy.
 Irreducible representations of the type-C Weyl group (hyperoctahedral group)
 are labelled by ordered pairs of partitions with |alpha| + |beta| = n.  The
 local Euler characteristics of the order-two IC sheaves on sp(2n) are plain
-binomial expressions; this module provides them together with the brute-force
-Kostka oracle that anchors the closed forms.
+binomial expressions, anchored by Kostka numbers counted by Pieri's rule.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from math import factorial, prod
 
-from .partitions import Partition
+from .partitions import Partition, conjugate
 from .qseries import eval_at_one, og_poincare
 from ._util import binom
 
 __all__ = [
     "Bipartition",
+    "MAX_KOSTKA_COST",
     "kostka",
     "kostka_order_two_closed_form",
     "standard_tableaux_count",
@@ -28,6 +28,8 @@ __all__ = [
     "verify_cc_identity",
     "verify_two_power_sum",
 ]
+
+MAX_KOSTKA_COST = 2 * 10**7  # kostka's work limit, in row scans; see kostka
 
 
 @dataclass(frozen=True)
@@ -43,45 +45,41 @@ class Bipartition:
 
 
 def kostka(shape: Partition, weight: Partition) -> int:
-    """Number of semistandard tableaux of the given shape and content.
-
-    Exhaustive depth-first enumeration: rows weakly increase, columns
-    strictly increase, and entry v is used weight_v times.  Content is
-    restricted to partitions, which covers every use in this package.
-    """
+    """Number of semistandard tableaux of the given shape and partition content, by
+    Pieri's rule: the cells holding v form a horizontal strip of weight_v cells.
+    Its states are the partitions inside `shape`, each worth (rows + 200) row
+    scans; ValueError if their total is over MAX_KOSTKA_COST."""
     if shape.weight != weight.weight:
         raise ValueError("shape and content must have equal weights")
-    if not shape.parts:
-        return 1
-    rows = shape.parts
-    remaining = list(weight.parts)
-    nvals = len(remaining)
-    # previous row's entries, for column-strictness of the row being filled
-    above: list[int] = []
+    lam, per_state, states = shape.parts, len(shape.parts) + 200, shape.weight + 1
+    if states * per_state <= MAX_KOSTKA_COST:  # states >= |lam| + 1: count if that fits
+        ways = [1] * (lam[0] + 1 if lam else 1)  # partitions in the rows so far, by last row
+        for part in lam[1:]:
+            ways = list(accumulate(ways[::-1]))[::-1][: part + 1]
+        states = sum(ways)
+    if states * per_state > MAX_KOSTKA_COST:
+        raise ValueError(f"kostka: shape {shape} costs {states * per_state} > {MAX_KOSTKA_COST}")
+    counts = {(): 1}  # shape without trailing zeros -> tableaux so far
+    for m in weight.parts:
+        grown: dict[tuple[int, ...], int] = {}
+        for nu, c in counts.items():
+            for kappa in _strips(lam, nu, m):
+                grown[kappa] = grown.get(kappa, 0) + c
+        counts = grown
+    return counts.get(lam, 0)
 
-    def fill_row(r: int, col: int, row_vals: list[int], count: int) -> int:
-        nonlocal above
-        if col == rows[r]:
-            if r + 1 == len(rows):
-                return count + 1
-            saved = above
-            above = row_vals
-            count = fill_row(r + 1, 0, [], count)
-            above = saved
-            return count
-        lo = row_vals[-1] if col else 1
-        if r and col < len(above):
-            lo = max(lo, above[col] + 1)
-        for v in range(lo, nvals + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                row_vals.append(v)
-                count = fill_row(r, col + 1, row_vals, count)
-                row_vals.pop()
-                remaining[v - 1] += 1
-        return count
 
-    return fill_row(0, 0, [], 0)
+def _strips(lam: tuple[int, ...], nu: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """Every kappa inside lam such that kappa/nu is a horizontal strip of m cells: row r
+    grows to at most min(lam_r, nu_(r-1)), by at least what the later rows cannot hold."""
+    base = nu + (0,) * (len(nu) < len(lam))
+    caps = [(top if top < up else up) - v for top, up, v in zip(lam, lam[:1] + base, base)]
+    room, partial = sum(caps), [(base, m)]  # shape so far, cells left to place
+    for r in compress(range(len(caps)), caps):
+        room -= caps[r]
+        partial = [(k[:r] + (k[r] + d,) + k[r + 1:] if d else k, left - d) for k, left in partial
+                   for d in range(max(0, left - room), min(caps[r], left) + 1)]
+    return [k if k[-1] else k[:-1] for k, left in partial if not left]
 
 
 def kostka_order_two_closed_form(n: int, i: int, j0: int) -> int:
@@ -92,8 +90,10 @@ def kostka_order_two_closed_form(n: int, i: int, j0: int) -> int:
 
 
 def standard_tableaux_count(shape: Partition) -> int:
-    """Number of standard Young tableaux, by brute force over content 1^n."""
-    return kostka(shape, Partition((1,) * shape.weight))
+    """Number of standard Young tableaux, by the hook length formula."""
+    cols = conjugate(shape).parts
+    hooks = (row - c + cols[c] - r - 1 for r, row in enumerate(shape.parts) for c in range(row))
+    return factorial(shape.weight) // prod(hooks)
 
 
 def springer_label(n: int, i: int, local_system: str = "trivial") -> Bipartition:

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from springerq import cli
 from springerq.cli import main
+from springerq.springer_typec import MAX_KOSTKA_COST
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -124,6 +126,39 @@ def test_kostka_pretty_prints_bare_number():
     code, out = run_cli(["kostka", "--shape", "2,1", "--weight", "1,1,1"])
     assert code == 0
     assert out == "2\n"
+
+
+@pytest.mark.parametrize("side, expected", [(6, "87516\n"), (5, "6006\n")])
+def test_kostka_three_row_rectangles_finish_quickly(side, expected):
+    shape, ones = ",".join([str(side)] * 3), ",".join(["1"] * (3 * side))
+    started = time.perf_counter()
+    code, out = run_cli(["kostka", "--shape", shape, "--weight", ones])
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (0, expected)
+
+
+def test_kostka_refuses_costly_input_with_exit_2(capsys):
+    staircase = ",".join(str(k) for k in range(20, 0, -1))
+    started = time.perf_counter()
+    code, out = run_cli(["kostka", "--shape", staircase, "--weight", ",".join(["1"] * 210)])
+    assert time.perf_counter() - started < 2.0
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    assert str(MAX_KOSTKA_COST) in err
+
+
+def test_verify_n_max_20_within_budget():
+    started = time.perf_counter()
+    code, out = run_cli(["verify", "--n-max", "20", "--format", "json"])
+    assert time.perf_counter() - started < 10.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert {s["name"]: s["cases"] for s in doc["suites"]} == {
+        "cc-identity": 100, "kostka-closed-form": 505, "poincare-identity": 230,
+        "solver-closed-form": 1980, "two-power-sum": 230,
+    }
 
 
 def test_tsv_format():

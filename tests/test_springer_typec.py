@@ -1,11 +1,13 @@
 """Kostka numbers, bipartition labels, and the Euler-characteristic identities."""
 
 import math
+import time
 
 import pytest
 
 from springerq.partitions import Partition, conjugate, dominance_leq, partitions_of
 from springerq.springer_typec import (
+    MAX_KOSTKA_COST,
     Bipartition,
     bipartition_dim,
     euler_chi_nontrivial,
@@ -22,6 +24,47 @@ P = Partition
 
 
 # -- Kostka numbers -------------------------------------------------------------
+
+
+def _enumerated_kostka(shape, weight):
+    """Independent oracle: semistandard tableaux counted one at a time.
+
+    Exhaustive depth-first filling, row by row: rows weakly increase, columns
+    strictly increase, and entry v is used weight_v times.  Recursion depth
+    grows with the number of cells, so keep the inputs small.
+    """
+    assert shape.weight == weight.weight
+    if not shape.parts:
+        return 1
+    rows = shape.parts
+    remaining = list(weight.parts)
+    nvals = len(remaining)
+    # previous row's entries, for column-strictness of the row being filled
+    above = []
+
+    def fill_row(r, col, row_vals, count):
+        nonlocal above
+        if col == rows[r]:
+            if r + 1 == len(rows):
+                return count + 1
+            saved = above
+            above = row_vals
+            count = fill_row(r + 1, 0, [], count)
+            above = saved
+            return count
+        lo = row_vals[-1] if col else 1
+        if r and col < len(above):
+            lo = max(lo, above[col] + 1)
+        for v in range(lo, nvals + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                row_vals.append(v)
+                count = fill_row(r, col + 1, row_vals, count)
+                row_vals.pop()
+                remaining[v - 1] += 1
+        return count
+
+    return fill_row(0, 0, [], 0)
 
 
 def test_kostka_examples():
@@ -68,6 +111,39 @@ def test_kostka_two_row_content_agrees():
                 assert kostka(shape, content) == kostka_order_two_closed_form(n, i, j0), (n, i, j0)
 
 
+def test_kostka_matches_enumeration_oracle():
+    pairs = 0
+    for w in range(10):
+        shapes = list(partitions_of(w))
+        for shape in shapes:
+            for content in shapes:
+                assert kostka(shape, content) == _enumerated_kostka(shape, content), (shape, content)
+                pairs += 1
+    assert pairs == 1819
+
+
+def test_kostka_order_two_family_matches_oracle():
+    for n in range(1, 11):
+        for i in range(n // 2 + 1):
+            for j0 in range(i + 1):
+                shape = P((2,) * (i - j0) + (1,) * (n - 2 * i))
+                content = P((1,) * (n - 2 * j0))
+                assert kostka(shape, content) == _enumerated_kostka(shape, content), (n, i, j0)
+
+
+def test_kostka_long_row_and_column_need_no_recursion():
+    ones = P((1,) * 1500)
+    assert kostka(ones, ones) == 1
+    assert kostka(P((1500,)), ones) == 1
+
+
+def test_kostka_refuses_a_long_row_without_counting_inside_it():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"> {MAX_KOSTKA_COST}$"):
+        kostka(P((10**7,)), P((10**7,)))
+    assert time.perf_counter() - started < 1.0
+
+
 def hook_product_count(shape):
     """Independent standard-tableau count via the hook length formula."""
     parts = shape.parts
@@ -85,6 +161,7 @@ def test_standard_tableaux_against_hook_lengths():
     for w in range(9):
         for shape in partitions_of(w):
             assert standard_tableaux_count(shape) == hook_product_count(shape), shape
+            assert standard_tableaux_count(shape) == _enumerated_kostka(shape, P((1,) * w)), shape
 
 
 # -- Springer labels --------------------------------------------------------------
