@@ -93,11 +93,8 @@ _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
 def _cmd_orbits(args) -> int:
     n = args.n
     rows = []
-    labels = sorted(
-        partitions_of(2 * n + 1),
-        key=lambda p: (-(n * (2 * n + 1) - dim_centralizer(p)), tuple(-x for x in p.parts)),
-    )
-    for p in labels:
+    # partitions_of yields largest first, and the sort is stable
+    for p in sorted(partitions_of(2 * n + 1), key=dim_centralizer):
         orbit = OrbitLabel(n, p)
         info = ft_support_info(orbit, "trivial")
         rows.append(dict(zip(_ORBIT_FIELDS, (

@@ -195,10 +195,7 @@ def fake_degree_poly(n: int, i: int) -> LaurentPoly:
 
     Equals q^(n^2) * f_i(q), tying the fake degrees to the origin stalks.
     """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    shift = n * n - n * i + i * (i - 1) // 2
-    return gaussian_binomial(i // 2, n).subs_power(2).shift(shift)
+    return closed_form_f(n, i).shift(n * n)
 
 
 @dataclass(frozen=True)

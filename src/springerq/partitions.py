@@ -5,7 +5,7 @@ K = SO(N) on the odd nilpotent cone are labelled by partitions of N (Jordan
 types).  This module implements the orbit-level combinatorics: dimensions and
 the closure (dominance) order, the gap criterion for induced orbits,
 Richardson and relevance templates, the one-step branching of resolution
-fibers, and the recursive fiber-dimension bound they produce.
+fibers, and the fiber-dimension bound they produce, all without recursion.
 
 A partition of odd weight 2n+1 always has an odd number of odd parts; the
 template predicates below exploit this.
@@ -13,7 +13,7 @@ template predicates below exploit this.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -75,13 +75,7 @@ class Partition:
 
     def multiplicities(self) -> list[tuple[int, int]]:
         """Distinct part values with multiplicities, largest value first."""
-        out: list[tuple[int, int]] = []
-        for p in self._parts:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return out
+        return _multiplicities(self._parts)
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -152,15 +146,22 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest-first lexicographic order."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-
-    def gen(rest: int, cap: int, prefix: tuple[int, ...]):
-        if rest == 0:
-            yield Partition(prefix)
+    cap = n if max_part is None else max_part
+    if n and cap < 1:
+        return
+    parts: list[int] = []
+    rest = n
+    while True:
+        while rest:
+            parts.append(min(parts[-1] if parts else cap, rest))
+            rest -= parts[-1]
+        yield Partition(tuple(parts))
+        while parts and parts[-1] == 1:  # drop the 1s, lower the last part, refill
+            rest += parts.pop()
+        if not parts:
             return
-        for p in range(min(cap, rest), 0, -1):
-            yield from gen(rest - p, p, prefix + (p,))
-
-    yield from gen(n, max_part if max_part is not None else n, ())
+        parts[-1] -= 1
+        rest += 1
 
 
 def conjugate(p: Partition) -> Partition:
@@ -231,32 +232,26 @@ def induced_orbit(levi_parts: Sequence[Partition], core: Partition) -> Partition
     return Partition(tuple(x for x in parts if x))
 
 
-def _odd_even_blocks(p: Partition) -> tuple[list[int], list[int]]:
-    odds = [x for x in p.parts if x % 2]
-    evens = [x for x in p.parts if x % 2 == 0]
-    return odds, evens
-
-
-def _block_mu(p: Partition) -> list[int] | None:
-    """Witness sequence mu for the odd-block-first templates, or None.
+def _block_mu(p: Partition) -> tuple[int, list[int] | None]:
+    """(odd-part count, witness mu or None) for the odd-block-first templates.
 
     Odd parts (descending) contribute (part-1)/2, even parts (descending)
     contribute part/2; the template matches iff the combined sequence is
     weakly decreasing, i.e. iff every odd part exceeds every even part.
     """
-    odds, evens = _odd_even_blocks(p)
-    mu = [(x - 1) // 2 for x in odds] + [x // 2 for x in evens]
-    if odds and evens and (odds[-1] - 1) // 2 < evens[0] // 2:
-        return None
-    return mu
+    odds = [x for x in p.parts if x % 2]
+    evens = [x for x in p.parts if x % 2 == 0]
+    if odds and evens and odds[-1] < evens[0]:
+        return len(odds), None
+    return len(odds), [(x - 1) // 2 for x in odds] + [x // 2 for x in evens]
 
 
 def is_relevant_full(p: Partition) -> bool:
     """Template (2p_1+1, 2p_2, ..., 2p_s): exactly one odd part, and it is largest."""
     if p.weight % 2 == 0:
         raise ValueError("relevance is defined for odd weight only")
-    odds, _ = _odd_even_blocks(p)
-    return len(odds) == 1 and _block_mu(p) is not None
+    odd_count, mu = _block_mu(p)
+    return odd_count == 1 and mu is not None
 
 
 def is_relevant_parabolic(p: Partition, i: int) -> bool:
@@ -270,20 +265,20 @@ def is_relevant_parabolic(p: Partition, i: int) -> bool:
     n = (p.weight - 1) // 2
     if not 1 <= i <= n - 1:
         raise ValueError(f"parabolic index must lie in [1, {n - 1}], got {i}")
-    odds, _ = _odd_even_blocks(p)
-    return len(odds) == 2 * n - 2 * i + 1 and _block_mu(p) is not None
+    odd_count, mu = _block_mu(p)
+    return odd_count == 2 * n - 2 * i + 1 and mu is not None
 
 
 def is_richardson(p: Partition) -> bool:
     """Template (2mu_1+1, ..., 2mu_l+1, 2mu_{l+1}, ..., 2mu_s), mu weakly decreasing."""
     if p.weight % 2 == 0:
         raise ValueError("Richardson test is defined for odd weight only")
-    return _block_mu(p) is not None
+    return _block_mu(p)[1] is not None
 
 
 def richardson_label(p: Partition) -> Partition:
     """Conjugate of the witness sequence mu; the local-system label of the transform."""
-    mu = _block_mu(p)
+    mu = _block_mu(p)[1]
     if p.weight % 2 == 0 or mu is None:
         raise ValueError(f"{p.serialize() or '()'} is not a Richardson label")
     return conjugate(Partition(tuple(x for x in mu if x)))
@@ -306,62 +301,65 @@ def branch_moves(p: Partition) -> list[BranchMove]:
     """
     if p.weight < 3:
         raise ValueError("branching needs weight >= 3")
-    mults = p.multiplicities()
-    moves: list[BranchMove] = []
+    return [BranchMove(Partition(target), tag, delta) for target, tag, delta, _ in _moves(p.parts)]
+
+
+def _multiplicities(parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(value, len(list(run))) for value, run in itertools.groupby(parts)]
+
+
+def _moves(parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], str, int, int]]:
+    """The branching rule: (target, case tag, codim_delta, locus dim) per move.
+
+    The line V_1 of a move ranges over a locus of dimension M_i - 1 (removal)
+    or M_i - 2 (split); branch_moves documents the rest.
+    """
+    mults = _multiplicities(parts)
     cum = 0
     for idx, (value, m) in enumerate(mults):
         cum += m
-        nxt_value, nxt_m = mults[idx + 1] if idx + 1 < len(mults) else (0, 0)
         if value >= 2:
-            target = _resorted(p.parts, remove=(value,), add=(value - 2,))
-            if nxt_value <= value - 2:
-                delta = 2 * (cum - 1)
-            else:  # nxt_value == value - 1
-                delta = 2 * (cum - 1) + nxt_m
-            moves.append(BranchMove(target, ROW_REMOVAL, delta))
+            nxt_value, nxt_m = mults[idx + 1] if idx + 1 < len(mults) else (0, 0)
+            delta = 2 * (cum - 1) + (nxt_m if nxt_value == value - 1 else 0)
+            yield _resorted(parts, (value,), (value - 2,)), ROW_REMOVAL, delta, cum - 1
         if m >= 2:
-            target = _resorted(p.parts, remove=(value, value), add=(value - 1, value - 1))
-            moves.append(BranchMove(target, ROW_SPLIT, 2 * (cum - 1) - 1))
-    return moves
+            target = _resorted(parts, (value, value), (value - 1, value - 1))
+            yield target, ROW_SPLIT, 2 * (cum - 1) - 1, cum - 2
 
 
-def _resorted(parts: tuple[int, ...], remove: tuple[int, ...], add: tuple[int, ...]) -> Partition:
+def _resorted(parts: tuple[int, ...], remove: tuple[int, ...], add: tuple[int, ...]) -> tuple[int, ...]:
     pool = list(parts)
     for x in remove:
         pool.remove(x)
     pool.extend(x for x in add if x > 0)
     pool.sort(reverse=True)
-    return Partition(tuple(pool))
+    return tuple(pool)
+
+
+_FIBER_DIMS: dict[tuple[int, ...], int] = {}
 
 
 def resolution_fiber_dim(p: Partition) -> int:
     """Top dimension of the nilpotent-cone resolution fiber over the orbit.
 
-    Recursively: the line V_1 ranges over a locus of dimension M_i - 1
-    (removal case) or M_i - 2 (split case) and the rest of the flag is a
-    fiber for the branched orbit, so
+    The line V_1 ranges over the locus of a branching move and the rest of the
+    flag is a fiber for the branched orbit, so
 
-        D(p) = max over moves of (locus dim + D(target)),    D((1)) = 0.
+        D(p) = max over moves of (locus dim + D(target)),    D(p) = 0 without moves.
+
+    Every move lowers the weight by 2, so the targets are gathered one weight
+    layer at a time and D is filled in from the bottom layer up.
 
     Semismallness says 2 D(p) <= orbit_codim(p) with equality exactly on the
     fully relevant templates.
     """
-    return _fiber_dim(p.parts)
-
-
-@functools.lru_cache(maxsize=None)
-def _fiber_dim(parts: tuple[int, ...]) -> int:
-    if sum(parts) <= 1:
-        return 0
-    p = Partition(parts)
-    best = 0
-    cum = 0
-    for value, m in p.multiplicities():
-        cum += m
-        if value >= 2:
-            target = _resorted(parts, remove=(value,), add=(value - 2,))
-            best = max(best, cum - 1 + _fiber_dim(target.parts))
-        if m >= 2:
-            target = _resorted(parts, remove=(value, value), add=(value - 1, value - 1))
-            best = max(best, cum - 2 + _fiber_dim(target.parts))
-    return best
+    dims = _FIBER_DIMS
+    layers = []
+    layer = {p.parts}
+    while layer := {q for q in layer if q not in dims}:
+        layers.append({q: [(t, locus) for t, _, _, locus in _moves(q)] for q in layer})
+        layer = {t for moves in layers[-1].values() for t, _ in moves}
+    for moves_by_parts in reversed(layers):
+        for q, moves in moves_by_parts.items():
+            dims[q] = max((locus + dims[t] for t, locus in moves), default=0)
+    return dims[p.parts]

@@ -446,12 +446,7 @@ def gaussian_binomial(k: int, m: int) -> LaurentPoly:
     """
     if k < 0 or m < 0 or k > m:
         raise ValueError(f"gaussian binomial needs 0 <= k <= m, got k={k}, m={m}")
-    out = ONE
-    for l in range(m - k + 1, m + 1):
-        out = out * one_minus_q(l)
-    for l in range(1, k + 1):
-        out = out.exact_div(one_minus_q(l))
-    return out
+    return _factor_ratio(range(m - k + 1, m + 1), range(1, k + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,11 +458,16 @@ def og_poincare(i: int, n: int) -> LaurentPoly:
     """
     if i < 0 or n < 0 or i > n:
         raise ValueError(f"og_poincare needs 0 <= i <= n, got i={i}, n={n}")
+    return _factor_ratio(range(2 * (n - i + 1), 2 * n + 1, 2), range(1, i + 1))
+
+
+def _factor_ratio(tops: range, bottoms: range) -> LaurentPoly:
+    """prod (1-q^a) over tops / prod (1-q^b) over bottoms, one factor at a time."""
     out = ONE
-    for l in range(n - i + 1, n + 1):
-        out = out * one_minus_q(2 * l)
-    for l in range(1, i + 1):
-        out = out.exact_div(one_minus_q(l))
+    for a in tops:
+        out = out * one_minus_q(a)
+    for b in bottoms:
+        out = out.exact_div(one_minus_q(b))
     return out
 
 

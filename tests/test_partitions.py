@@ -1,5 +1,9 @@
 """Partition arithmetic and orbit combinatorics."""
 
+import functools
+import inspect
+from collections import Counter
+
 import pytest
 
 from springerq.partitions import (
@@ -32,6 +36,51 @@ def all_partitions(weight):
     return list(partitions_of(weight))
 
 
+def _recursive_partitions(n, max_part=None):
+    """Independent oracle: partitions of n by recursion on the first part.
+
+    Recursion depth grows with the number of parts, so keep n small.
+    """
+
+    def gen(rest, cap, prefix):
+        if rest == 0:
+            yield prefix
+            return
+        for p in range(min(cap, rest), 0, -1):
+            yield from gen(rest - p, p, prefix + (p,))
+
+    return list(gen(n, max_part if max_part is not None else n, ()))
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive_fiber_dim(parts):
+    """Independent oracle: D(p) = max over moves of (locus dim + D(target)), by recursion.
+
+    Each distinct part value mu_i with cumulative count M_i gives a row removal
+    (mu_i >= 2, locus dim M_i - 1) and a row split (multiplicity >= 2, locus
+    dim M_i - 2).  Recursion depth grows with the weight, so keep it small.
+    """
+    if sum(parts) <= 1:
+        return 0
+
+    def resorted(remove, add):
+        pool = list(parts)
+        for x in remove:
+            pool.remove(x)
+        return tuple(sorted(pool + [x for x in add if x > 0], reverse=True))
+
+    best = 0
+    cum = 0
+    for value, m in sorted(Counter(parts).items(), reverse=True):
+        cum += m
+        if value >= 2:
+            best = max(best, cum - 1 + _recursive_fiber_dim(resorted((value,), (value - 2,))))
+        if m >= 2:
+            target = resorted((value, value), (value - 1, value - 1))
+            best = max(best, cum - 2 + _recursive_fiber_dim(target))
+    return best
+
+
 # -- the Partition type -------------------------------------------------------
 
 
@@ -59,6 +108,21 @@ def test_serialize_parse_round_trip():
 
 def test_partition_count_sanity():
     assert len(all_partitions(7)) == 15  # p(7)
+
+
+def test_partitions_of_matches_recursive_oracle():
+    # a generator function, so a bad weight raises on the first next()
+    assert inspect.isgeneratorfunction(partitions_of)
+    for n in range(21):
+        for max_part in (None, -1, 0, 1, 2, 3, n, n + 3):
+            got = [p.parts for p in partitions_of(n, max_part)]
+            assert got == _recursive_partitions(n, max_part), (n, max_part)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        next(partitions_of(-1))
+
+
+def test_partitions_of_a_long_column_needs_no_recursion():
+    assert list(partitions_of(999, max_part=1)) == [P((1,) * 999)]
 
 
 def test_orbit_label_validation():
@@ -311,6 +375,21 @@ def test_fiber_dim_spot_values():
     assert resolution_fiber_dim(P((1, 1, 1))) == 1
     assert resolution_fiber_dim(P((2, 1))) == 0
     assert resolution_fiber_dim(P((3,))) == 0
+
+
+def test_fiber_dim_matches_recursive_oracle():
+    for w in range(26):
+        for lam in all_partitions(w):
+            assert resolution_fiber_dim(lam) == _recursive_fiber_dim(lam.parts), lam
+
+
+def test_fiber_dim_of_a_long_row_needs_no_recursion():
+    assert resolution_fiber_dim(P((1001,))) == 0
+
+
+def test_fiber_dim_of_a_long_column_needs_no_recursion():
+    # 1^N branches only by splits: D = ((N-1)/2)^2
+    assert resolution_fiber_dim(P((1,) * 1001)) == 250000
 
 
 def test_semismall_bound_and_equality():
