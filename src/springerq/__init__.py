@@ -12,6 +12,7 @@ from .partitions import (
     ROW_REMOVAL,
     ROW_SPLIT,
     partitions_of,
+    partition_count,
     conjugate,
     dominance_leq,
     closure_contains,

@@ -13,29 +13,20 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
+import operator
 import sys
 
 from . import qseries
 from .fano import fano_multiplicities
+from ._util import write_json
 from .ic_engine import (
     GRADING_NOTE,
     closed_form_f,
     closed_form_t,
-    ft_support_info,
     ft_table,
     solve_stalk_tables,
 )
-from .partitions import (
-    OrbitLabel,
-    Partition,
-    dim_centralizer,
-    has_gaps,
-    is_relevant_full,
-    is_richardson,
-    orbit_dim,
-    partitions_of,
-)
+from .partitions import Partition, _classify, dim_centralizer, partition_count, partitions_of
 from .springer_typec import (
     euler_chi_nontrivial,
     euler_chi_trivial,
@@ -73,7 +64,8 @@ def _output(args, doc, header, rows, pretty=None) -> None:
     pretty text and replaces the aligned table.
     """
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        write_json(doc, sys.stdout.write)
+        text = "\n"
     elif args.format == "tsv":
         text = "".join("\t".join(map(_cell, r)) + "\n" for r in itertools.chain([header], rows))
     elif pretty is not None:
@@ -86,22 +78,29 @@ def _output(args, doc, header, rows, pretty=None) -> None:
     sys.stdout.write(text)
 
 
+def _records(header, rows):
+    """A table's rows for json: one header -> value object each, made as written."""
+    return (dict(zip(header, row)) for row in rows)
+
+
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
+# the largest accepted table, orbits --n 22 with p(45) = 89134 rows, takes about 2.6 s
+MAX_ORBIT_ROWS = 100_000
 
 
 def _cmd_orbits(args) -> int:
     n = args.n
+    if partition_count(2 * n + 1, cap=MAX_ORBIT_ROWS) > MAX_ORBIT_ROWS:
+        raise ValueError(f"orbits: --n {n} lists p({2 * n + 1}) > "
+                         f"MAX_ORBIT_ROWS = {MAX_ORBIT_ROWS} rows")
     rows = []
-    # partitions_of yields largest first, and the sort is stable
-    for p in sorted(partitions_of(2 * n + 1), key=dim_centralizer):
-        orbit = OrbitLabel(n, p)
-        info = ft_support_info(orbit, "trivial")
-        rows.append(dict(zip(_ORBIT_FIELDS, (
-            p.serialize(), orbit_dim(orbit), dim_centralizer(p), has_gaps(p), is_richardson(p),
-            is_relevant_full(p), info.flag, info.support_name))))
-    _output(args, {"n": n, "count": len(rows), "rows": rows}, _ORBIT_FIELDS,
-            ([r[h] for h in _ORBIT_FIELDS] for r in rows))
+    for p in partitions_of(2 * n + 1):
+        codim = dim_centralizer(p)
+        rows.append((p.serialize(), n * (2 * n + 1) - codim, codim, *_classify(p.parts)))
+    rows.sort(key=operator.itemgetter(2))  # stable: partitions_of yields largest first
+    _output(args, {"n": n, "count": len(rows), "rows": _records(_ORBIT_FIELDS, rows)},
+            _ORBIT_FIELDS, rows)
     return 0
 
 
@@ -156,23 +155,22 @@ def _cmd_kostka(args) -> int:
 
 def _cmd_euler(args) -> int:
     n = args.n
-    rows = [{"i": i, "j": j, "trivial": euler_chi_trivial(n, i, j),
-             "nontrivial": euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None}
-            for i in range(n + 1) for j in range(i + 1)]
     header = ["i", "j", "trivial", "nontrivial"]
-    _output(args, {"n": n, "rows": rows}, header, ([r[h] for h in header] for r in rows))
+    rows = [(i, j, euler_chi_trivial(n, i, j),
+             euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
+            for i in range(n + 1) for j in range(i + 1)]
+    _output(args, {"n": n, "rows": _records(header, rows)}, header, rows)
     return 0
 
 
 def _cmd_ft_table(args) -> int:
-    rows = [{"i": r.i, "orbit": r.orbit.partition.serialize(),
-             "trivial_dim": _jint(r.trivial_target_dim), "trivial_monodromy": r.trivial_monodromy,
-             "nontrivial_dim": _jint(r.nontrivial_target_dim),
-             "nontrivial_monodromy": r.nontrivial_monodromy}
-            for r in ft_table(args.n)]
+    header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
+              "nontrivial_monodromy"]
     # a big dimension reads the same as a _jint decimal string and as an int
-    header = list(rows[0])
-    _output(args, {"n": args.n, "rows": rows}, header, ([r[h] for h in header] for r in rows))
+    rows = [(r.i, r.orbit.partition.serialize(), _jint(r.trivial_target_dim), r.trivial_monodromy,
+             _jint(r.nontrivial_target_dim), r.nontrivial_monodromy)
+            for r in ft_table(args.n)]
+    _output(args, {"n": args.n, "rows": _records(header, rows)}, header, rows)
     return 0
 
 

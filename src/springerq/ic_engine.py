@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .partitions import OrbitLabel, Partition, has_gaps, is_richardson
+from .partitions import OrbitLabel, Partition, _classify
 from .qseries import LaurentPoly, ONE, ZERO, gaussian_binomial, og_poincare
 from ._util import binom
 
@@ -261,12 +261,6 @@ class SupportInfo:
     general_template: bool = False
 
 
-def _order_two_index(p: Partition) -> Optional[int]:
-    if all(x <= 2 for x in p.parts):
-        return sum(1 for x in p.parts if x == 2)
-    return None
-
-
 def ft_support_info(o: OrbitLabel, local_system: str = "trivial") -> SupportInfo:
     """Classify the support of the Fourier transform of (orbit, local system).
 
@@ -276,25 +270,16 @@ def ft_support_info(o: OrbitLabel, local_system: str = "trivial") -> SupportInfo
     """
     if local_system not in ("trivial", "nontrivial"):
         raise ValueError(f"unknown local system {local_system!r}")
-    p = o.partition
-    i2 = _order_two_index(p)
+    parts = o.partition.parts
     if local_system == "nontrivial":
-        if i2 is None or i2 == 0:
+        if parts[0] != 2:  # order two with at least one 2
             raise ValueError(
-                f"orbit {p.serialize() or '()'} carries no nontrivial equivariant local system"
+                f"orbit {o.partition.serialize()} carries no nontrivial equivariant local system"
             )
         return SupportInfo("full", support_name="g_1")
-    if i2 is not None:
-        return SupportInfo("full", support_name="g_1")
-    if is_richardson(p):
-        n_odd = sum(1 for x in p.parts if x % 2)
-        if n_odd == 1:
-            return SupportInfo("proper", support_name="g_1^0")
-        idx = (p.weight - n_odd) // 2
-        return SupportInfo("proper", support_name=f"g_1^{idx}", general_template=True)
-    if has_gaps(p):
-        return SupportInfo("proper")
-    return SupportInfo("unknown")
+    _, richardson, relevant, flag, name = _classify(parts)
+    general = flag == "proper" and richardson and not relevant  # g_1^i with i > 0
+    return SupportInfo(flag, name, general_template=general)
 
 
 def ft_support_flag(o: OrbitLabel, local_system: str = "trivial") -> str:

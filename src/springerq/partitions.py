@@ -14,6 +14,7 @@ template predicates below exploit this.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +25,7 @@ __all__ = [
     "ROW_REMOVAL",
     "ROW_SPLIT",
     "partitions_of",
+    "partition_count",
     "conjugate",
     "dominance_leq",
     "closure_contains",
@@ -57,6 +59,13 @@ class Partition:
             if k and parts[k - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
         object.__setattr__(self, "_parts", parts)
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition of parts already known to be valid, built without the checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_parts", parts)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -97,7 +106,7 @@ class Partition:
 
     def serialize(self) -> str:
         """Comma-separated descending parts; the empty partition is ''."""
-        return ",".join(str(p) for p in self._parts)
+        return ",".join(map(str, self._parts))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -152,16 +161,45 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     parts: list[int] = []
     rest = n
     while True:
-        while rest:
-            parts.append(min(parts[-1] if parts else cap, rest))
-            rest -= parts[-1]
-        yield Partition(tuple(parts))
-        while parts and parts[-1] == 1:  # drop the 1s, lower the last part, refill
-            rest += parts.pop()
+        if rest:  # greedy fill: copies of the largest allowed part, then the remainder
+            top = min(parts[-1] if parts else cap, rest)
+            parts += [top] * (rest // top)
+            if rest % top:
+                parts.append(rest % top)
+            rest = 0
+        yield Partition._trusted(tuple(parts))
+        if parts and parts[-1] == 1:  # drop the 1s, lower the last part, refill
+            ones = parts.index(1)
+            rest += len(parts) - ones
+            del parts[ones:]
         if not parts:
             return
         parts[-1] -= 1
         rest += 1
+
+
+def partition_count(m: int, cap: int | None = None) -> int:
+    """p(m), the number of partitions of m, by Euler's pentagonal-number recurrence:
+
+        p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
+
+    O(m^1.5) additions in all.  p never decreases, so with a cap the count
+    stops at the first p(k) over the cap and returns it: the result is over
+    the cap exactly when p(m) is, and a huge m costs no more than that k.
+    """
+    if m < 0:
+        raise ValueError("weight must be nonnegative")
+    p = [1]
+    for k in range(1, m + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        if cap is not None and total > cap:
+            break
+    return p[-1]
 
 
 def conjugate(p: Partition) -> Partition:
@@ -194,7 +232,8 @@ def closure_contains(outer: OrbitLabel, inner: OrbitLabel) -> bool:
 
 def dim_centralizer(p: Partition) -> int:
     """dim Z_K(x) = sum_i (i-1) * p_i for x of Jordan type p."""
-    return sum(i * part for i, part in enumerate(p.parts))
+    parts = p.parts
+    return sum(map(operator.mul, range(len(parts)), parts))
 
 
 def orbit_codim(p: Partition) -> int:
@@ -274,6 +313,28 @@ def is_richardson(p: Partition) -> bool:
     if p.weight % 2 == 0:
         raise ValueError("Richardson test is defined for odd weight only")
     return _block_mu(p)[1] is not None
+
+
+def _classify(parts: tuple[int, ...]) -> tuple[bool, bool, bool, str, str | None]:
+    """(has_gaps, is_richardson, is_relevant_full, support flag, support name)
+    of a partition of odd weight, from one odd/even split.
+
+    The flag and name are ft_support_info's for the trivial local system:
+    "full" and "g_1" when no part exceeds 2 (order two); for other Richardson
+    labels "proper" and "g_1^0" with one odd part, "g_1^i" with
+    i = (weight - #odd parts)/2 otherwise; "proper" and no name for other
+    gapped labels; "unknown" for the rest.
+    """
+    odds = [x for x in parts if x & 1]
+    richardson = parts[:len(odds)] == tuple(odds)  # every odd part exceeds every even one
+    relevant = richardson and len(odds) == 1
+    gaps = len(set(parts)) != parts[0]  # no gaps: the values are all of 1..parts[0]
+    if parts[0] <= 2:
+        return gaps, richardson, relevant, "full", "g_1"
+    if richardson:
+        name = "g_1^0" if relevant else f"g_1^{(sum(parts) - len(odds)) // 2}"
+        return gaps, True, relevant, "proper", name
+    return gaps, False, False, "proper" if gaps else "unknown", None
 
 
 def richardson_label(p: Partition) -> Partition:

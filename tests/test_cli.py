@@ -148,6 +148,25 @@ def test_kostka_refuses_costly_input_with_exit_2(capsys):
     assert str(MAX_KOSTKA_COST) in err
 
 
+@pytest.mark.parametrize("n", ["40", str(10**12)])
+def test_orbits_refuses_costly_input_with_exit_2(capsys, n):
+    started = time.perf_counter()
+    code, out = run_cli(["orbits", "--n", n, "--format", "json"])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    assert f"MAX_ORBIT_ROWS = {cli.MAX_ORBIT_ROWS}" in err
+
+
+def test_orbits_refuses_exactly_the_tables_over_the_limit(monkeypatch, capsys):
+    assert cli.MAX_ORBIT_ROWS >= 21637  # p(37): orbits --n 18 is served
+    monkeypatch.setattr(cli, "MAX_ORBIT_ROWS", 15)
+    assert run_cli(["orbits", "--n", "3", "--format", "tsv"])[0] == 0  # p(7) = 15 rows
+    assert run_cli(["orbits", "--n", "4", "--format", "tsv"]) == (2, "")  # p(9) = 30 rows
+    assert "orbits: --n 4 lists p(9) > MAX_ORBIT_ROWS = 15 rows" in capsys.readouterr().err
+
+
 def test_verify_n_max_20_within_budget():
     started = time.perf_counter()
     code, out = run_cli(["verify", "--n-max", "20", "--format", "json"])

@@ -1,0 +1,127 @@
+"""The streaming JSON writer against json.dumps(..., indent=2)."""
+
+import io
+import json
+from collections.abc import Iterator
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from springerq import cli
+from springerq._util import write_json
+
+from test_cli import GOLDEN_CASES, run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def written(doc) -> str:
+    pieces = []
+    write_json(doc, pieces.append)
+    return "".join(pieces)
+
+
+def _held(value):
+    """value with every iterator turned into a list, as json.dumps needs it."""
+    if isinstance(value, dict):
+        return {k: _held(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, Iterator)):
+        return [_held(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_writer_matches_json_dumps_on_golden_documents(name):
+    text = (GOLDEN / name).read_text()
+    doc = json.loads(text)
+    assert written(doc) == json.dumps(doc, indent=2) == text[:-1]
+
+
+SMALL_ARGVS = [
+    [cmd, "--n", str(n)] for cmd in ("orbits", "stalks", "euler", "ft-table") for n in (1, 2, 4)
+] + [
+    ["fano", "--n", "4", "--i", str(i)] for i in (1, 2, 4)
+] + [
+    ["kostka", "--shape", "3,2,1", "--weight", "2,2,1,1"],
+    ["verify", "--n-max", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_ARGVS, ids=" ".join)
+def test_each_command_writes_what_json_dumps_writes(monkeypatch, argv):
+    code, out = run_cli(argv + ["--format", "json"])
+    monkeypatch.setattr(cli, "write_json",
+                        lambda doc, write: write(json.dumps(_held(doc), indent=2)))
+    assert (code, out) == run_cli(argv + ["--format", "json"])
+
+
+def test_writer_handles_every_container_shape():
+    for doc in ({}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], {"a": [{"b": []}, {}]},
+                [[[1]]], {"": ""}, {"%s": "%d", "%": 1}, {"%%": {"%": []}}, [{"a": 1}, {"b": 2}, {"a": 3}],
+                0, -1, True, False, None, "x"):
+        assert written(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_iterators_are_written_as_arrays_as_they_are_consumed():
+    doc = {"rows": (dict(a=k, b=[k] * k) for k in range(3)), "empty": iter(())}
+    assert written(doc) == json.dumps(
+        {"rows": [dict(a=k, b=[k] * k) for k in range(3)], "empty": []}, indent=2)
+
+
+def test_a_long_table_is_written_in_batches():
+    rows = [{"k": k, "s": str(k)} for k in range(20000)]
+    expected = json.dumps({"rows": rows}, indent=2)
+    chunks = []
+
+    def write(text):
+        chunks.append(text)
+        assert len(chunks) < 100, "a piece was written twice"
+
+    write_json({"rows": iter(rows)}, write)
+    assert len(chunks) > 1
+    assert "".join(chunks) == expected
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), object(), {1: "int key"}, b"bytes"])
+def test_writer_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        written({"x": [value]})
+
+
+def test_stdout_text_stream_takes_the_pieces():
+    buf = io.StringIO()
+    write_json({"a": ["é", "\x00 "]}, buf.write)
+    assert buf.getvalue() == json.dumps({"a": ["é", "\x00 "]}, indent=2)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([True, False, 1, 0, -1])
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**63) + 2)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x20))
+)
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCS)
+def test_writer_matches_json_dumps_on_generated_documents(doc):
+    assert written(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(DOCS, max_size=8))
+def test_writer_matches_json_dumps_on_generated_iterators(items):
+    assert written({"rows": iter(items)}) == json.dumps({"rows": items}, indent=2)

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from springerq.ic_engine import SupportInfo, ft_support_info
 from springerq.partitions import (
     BranchMove,
     OrbitLabel,
@@ -22,8 +23,10 @@ from springerq.partitions import (
     is_relevant_full,
     is_relevant_parabolic,
     is_richardson,
+    _classify,
     orbit_codim,
     orbit_dim,
+    partition_count,
     partitions_of,
     resolution_fiber_dim,
     richardson_label,
@@ -123,6 +126,37 @@ def test_partitions_of_matches_recursive_oracle():
 
 def test_partitions_of_a_long_column_needs_no_recursion():
     assert list(partitions_of(999, max_part=1)) == [P((1,) * 999)]
+
+
+def test_enumerated_partitions_equal_validated_ones():
+    for n in range(16):
+        for p in partitions_of(n):
+            validated = P(p.parts)
+            assert p == validated and hash(p) == hash(validated)
+            assert type(p) is Partition and type(p.parts) is tuple
+            with pytest.raises(AttributeError):
+                p._parts = ()
+            with pytest.raises(AttributeError):
+                setattr(p, "_parts", (n + 1,))
+            assert p.parts == validated.parts
+
+
+def test_partition_count_matches_enumeration():
+    for m in range(31):
+        assert partition_count(m) == len(all_partitions(m)), m
+    assert partition_count(37) == 21637
+    assert partition_count(81) == 18004327
+    assert partition_count(100) == 190569292
+    with pytest.raises(ValueError):
+        partition_count(-1)
+
+
+def test_partition_count_stops_at_the_cap():
+    assert partition_count(37, cap=21637) == 21637  # not over the cap: exact
+    assert partition_count(37, cap=21636) == 21637
+    assert partition_count(10, cap=15) == 22  # p(7) = 15 is not over the cap, p(8) = 22 is
+    assert partition_count(81, cap=1000) == 1002  # p(26), the first value over 1000
+    assert partition_count(10**12, cap=1000) == 1002  # a huge weight costs nothing more
 
 
 def test_orbit_label_validation():
@@ -316,6 +350,27 @@ def test_is_richardson_against_template_oracle():
             labels |= template_labels(weight, odd_slots)
         for lam in all_partitions(weight):
             assert is_richardson(lam) == (lam.parts in labels), lam
+
+
+def _support_oracle(p):
+    """The trivial-system support of ft_support_info, from the public predicates."""
+    if all(x <= 2 for x in p.parts):
+        return SupportInfo("full", "g_1")
+    if is_richardson(p):
+        n_odd = sum(1 for x in p.parts if x % 2)
+        if n_odd == 1:
+            return SupportInfo("proper", "g_1^0")
+        return SupportInfo("proper", f"g_1^{(p.weight - n_odd) // 2}", general_template=True)
+    return SupportInfo("proper" if has_gaps(p) else "unknown")
+
+
+def test_classify_matches_the_public_predicates():
+    for weight in range(1, 26, 2):
+        for p in partitions_of(weight):
+            oracle = _support_oracle(p)
+            assert _classify(p.parts) == (has_gaps(p), is_richardson(p), is_relevant_full(p),
+                                          oracle.flag, oracle.support_name), p
+            assert ft_support_info(OrbitLabel(weight // 2, p), "trivial") == oracle, p
 
 
 def test_richardson_label():
