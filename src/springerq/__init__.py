@@ -12,7 +12,6 @@ from .partitions import (
     ROW_REMOVAL,
     ROW_SPLIT,
     partitions_of,
-    partition_count,
     conjugate,
     dominance_leq,
     closure_contains,

@@ -43,22 +43,16 @@ def write_json(doc, write) -> None:
     returns the whole text at once.
     """
     pieces = []
-    layouts = {}
 
     def put(value, indent):
         """Append the text of a container; indent is a newline and its spaces."""
         inner = indent + "  "
         if isinstance(value, dict):
-            keys = (indent, *value)
-            layout = layouts.get(keys)
-            if layout is None:  # the rows of a table share one layout
-                heads = [f"{inner}{_encode_str(k)}: " for k in value]
-                whole = "{" + ",".join(h.replace("%", "%%") + "%s" for h in heads) + indent + "}"
-                layout = layouts[keys] = heads, (whole if heads else "{}")
-            heads, whole = layout
-            texts = tuple(map(_scalar, value.values()))
+            heads = [f"{inner}{_encode_str(k)}: " for k in value]
+            texts = list(map(_scalar, value.values()))
             if None not in texts:  # only scalars: one piece
-                pieces.append(whole % texts)
+                pieces.append("{" + ",".join(map(str.__add__, heads, texts)) + indent + "}"
+                              if texts else "{}")
                 return
             items, brackets = value.values(), "{}"
         elif isinstance(value, (list, tuple)):

@@ -26,7 +26,7 @@ from .ic_engine import (
     ft_table,
     solve_stalk_tables,
 )
-from .partitions import Partition, _classify, dim_centralizer, partition_count, partitions_of
+from .partitions import Partition, _classify, _more_partitions_than, dim_centralizer, partitions_of
 from .springer_typec import (
     euler_chi_nontrivial,
     euler_chi_trivial,
@@ -91,7 +91,7 @@ MAX_ORBIT_ROWS = 100_000
 
 def _cmd_orbits(args) -> int:
     n = args.n
-    if partition_count(2 * n + 1, cap=MAX_ORBIT_ROWS) > MAX_ORBIT_ROWS:
+    if _more_partitions_than(2 * n + 1, MAX_ORBIT_ROWS):
         raise ValueError(f"orbits: --n {n} lists p({2 * n + 1}) > "
                          f"MAX_ORBIT_ROWS = {MAX_ORBIT_ROWS} rows")
     rows = []

@@ -25,7 +25,6 @@ __all__ = [
     "ROW_REMOVAL",
     "ROW_SPLIT",
     "partitions_of",
-    "partition_count",
     "conjugate",
     "dominance_leq",
     "closure_contains",
@@ -178,17 +177,14 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         rest += 1
 
 
-def partition_count(m: int, cap: int | None = None) -> int:
-    """p(m), the number of partitions of m, by Euler's pentagonal-number recurrence:
+def _more_partitions_than(m: int, limit: int) -> bool:
+    """p(m) > limit, for m >= 0, by Euler's pentagonal-number recurrence
 
-        p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
+        p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).
 
-    O(m^1.5) additions in all.  p never decreases, so with a cap the count
-    stops at the first p(k) over the cap and returns it: the result is over
-    the cap exactly when p(m) is, and a huge m costs no more than that k.
+    p never decreases, so the count stops at the first p(k) over the limit:
+    a huge m costs no more than that k, O(k^1.5) additions.
     """
-    if m < 0:
-        raise ValueError("weight must be nonnegative")
     p = [1]
     for k in range(1, m + 1):
         total, j = 0, 1
@@ -196,10 +192,10 @@ def partition_count(m: int, cap: int | None = None) -> int:
             term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
             total += term if j % 2 else -term
             j += 1
+        if total > limit:
+            return True
         p.append(total)
-        if cap is not None and total > cap:
-            break
-    return p[-1]
+    return p[-1] > limit
 
 
 def conjugate(p: Partition) -> Partition:
@@ -253,9 +249,7 @@ def has_gaps(p: Partition) -> bool:
     By the induction criterion this holds iff the orbit is induced from a
     proper theta-stable Levi.
     """
-    parts = p.parts
-    return any(parts[k] - (parts[k + 1] if k + 1 < len(parts) else 0) >= 2
-               for k in range(len(parts)))
+    return bool(p.parts) and _classify(p.parts)[0]
 
 
 def induced_orbit(levi_parts: Sequence[Partition], core: Partition) -> Partition:
@@ -271,26 +265,43 @@ def induced_orbit(levi_parts: Sequence[Partition], core: Partition) -> Partition
     return Partition(tuple(x for x in parts if x))
 
 
-def _block_mu(p: Partition) -> tuple[int, list[int] | None]:
-    """(odd-part count, witness mu or None) for the odd-block-first templates.
+def _split(parts: tuple[int, ...]) -> tuple[list[int], bool]:
+    """The odd parts, and whether they come first: the odd-block-first test.
 
-    Odd parts (descending) contribute (part-1)/2, even parts (descending)
-    contribute part/2; the template matches iff the combined sequence is
-    weakly decreasing, i.e. iff every odd part exceeds every even part.
+    The templates below read mu = ((odd parts - 1)/2, then even parts / 2),
+    which is weakly decreasing iff every odd part exceeds every even part,
+    i.e. iff the parts open with all the odd ones.
     """
-    odds = [x for x in p.parts if x % 2]
-    evens = [x for x in p.parts if x % 2 == 0]
-    if odds and evens and odds[-1] < evens[0]:
-        return len(odds), None
-    return len(odds), [(x - 1) // 2 for x in odds] + [x // 2 for x in evens]
+    odds = [x for x in parts if x & 1]
+    return odds, parts[:len(odds)] == tuple(odds)
+
+
+def _classify(parts: tuple[int, ...]) -> tuple[bool, bool, bool, str, str | None]:
+    """(has_gaps, is_richardson, is_relevant_full, support flag, support name)
+    of a nonempty partition, from one odd/even split.
+
+    The flag and name are ft_support_info's for the trivial local system:
+    "full" and "g_1" when no part exceeds 2 (order two); for other Richardson
+    labels "proper" and "g_1^0" with one odd part, "g_1^i" with
+    i = (weight - #odd parts)/2 otherwise; "proper" and no name for other
+    gapped labels; "unknown" for the rest.
+    """
+    odds, richardson = _split(parts)
+    relevant = richardson and len(odds) == 1
+    gaps = len(set(parts)) != parts[0]  # no gaps: the values are all of 1..parts[0]
+    if parts[0] <= 2:
+        return gaps, richardson, relevant, "full", "g_1"
+    if richardson:
+        name = "g_1^0" if relevant else f"g_1^{(sum(parts) - len(odds)) // 2}"
+        return gaps, True, relevant, "proper", name
+    return gaps, False, False, "proper" if gaps else "unknown", None
 
 
 def is_relevant_full(p: Partition) -> bool:
     """Template (2p_1+1, 2p_2, ..., 2p_s): exactly one odd part, and it is largest."""
     if p.weight % 2 == 0:
         raise ValueError("relevance is defined for odd weight only")
-    odd_count, mu = _block_mu(p)
-    return odd_count == 1 and mu is not None
+    return _classify(p.parts)[2]
 
 
 def is_relevant_parabolic(p: Partition, i: int) -> bool:
@@ -304,44 +315,23 @@ def is_relevant_parabolic(p: Partition, i: int) -> bool:
     n = (p.weight - 1) // 2
     if not 1 <= i <= n - 1:
         raise ValueError(f"parabolic index must lie in [1, {n - 1}], got {i}")
-    odd_count, mu = _block_mu(p)
-    return odd_count == 2 * n - 2 * i + 1 and mu is not None
+    odds, richardson = _split(p.parts)
+    return richardson and len(odds) == 2 * n - 2 * i + 1
 
 
 def is_richardson(p: Partition) -> bool:
     """Template (2mu_1+1, ..., 2mu_l+1, 2mu_{l+1}, ..., 2mu_s), mu weakly decreasing."""
     if p.weight % 2 == 0:
         raise ValueError("Richardson test is defined for odd weight only")
-    return _block_mu(p)[1] is not None
-
-
-def _classify(parts: tuple[int, ...]) -> tuple[bool, bool, bool, str, str | None]:
-    """(has_gaps, is_richardson, is_relevant_full, support flag, support name)
-    of a partition of odd weight, from one odd/even split.
-
-    The flag and name are ft_support_info's for the trivial local system:
-    "full" and "g_1" when no part exceeds 2 (order two); for other Richardson
-    labels "proper" and "g_1^0" with one odd part, "g_1^i" with
-    i = (weight - #odd parts)/2 otherwise; "proper" and no name for other
-    gapped labels; "unknown" for the rest.
-    """
-    odds = [x for x in parts if x & 1]
-    richardson = parts[:len(odds)] == tuple(odds)  # every odd part exceeds every even one
-    relevant = richardson and len(odds) == 1
-    gaps = len(set(parts)) != parts[0]  # no gaps: the values are all of 1..parts[0]
-    if parts[0] <= 2:
-        return gaps, richardson, relevant, "full", "g_1"
-    if richardson:
-        name = "g_1^0" if relevant else f"g_1^{(sum(parts) - len(odds)) // 2}"
-        return gaps, True, relevant, "proper", name
-    return gaps, False, False, "proper" if gaps else "unknown", None
+    return _classify(p.parts)[1]
 
 
 def richardson_label(p: Partition) -> Partition:
     """Conjugate of the witness sequence mu; the local-system label of the transform."""
-    mu = _block_mu(p)[1]
-    if p.weight % 2 == 0 or mu is None:
+    odds, richardson = _split(p.parts)
+    if p.weight % 2 == 0 or not richardson:
         raise ValueError(f"{p.serialize() or '()'} is not a Richardson label")
+    mu = [(x - 1) // 2 for x in odds] + [x // 2 for x in p.parts[len(odds):]]
     return conjugate(Partition(tuple(x for x in mu if x)))
 
 

@@ -24,9 +24,9 @@ from springerq.partitions import (
     is_relevant_parabolic,
     is_richardson,
     _classify,
+    _more_partitions_than,
     orbit_codim,
     orbit_dim,
-    partition_count,
     partitions_of,
     resolution_fiber_dim,
     richardson_label,
@@ -141,22 +141,17 @@ def test_enumerated_partitions_equal_validated_ones():
             assert p.parts == validated.parts
 
 
-def test_partition_count_matches_enumeration():
+def test_more_partitions_than_matches_enumeration():
     for m in range(31):
-        assert partition_count(m) == len(all_partitions(m)), m
-    assert partition_count(37) == 21637
-    assert partition_count(81) == 18004327
-    assert partition_count(100) == 190569292
-    with pytest.raises(ValueError):
-        partition_count(-1)
+        count = len(all_partitions(m))
+        assert _more_partitions_than(m, count - 1) and not _more_partitions_than(m, count), m
+    for m, count in ((37, 21637), (81, 18004327), (100, 190569292)):
+        assert _more_partitions_than(m, count - 1) and not _more_partitions_than(m, count), m
 
 
-def test_partition_count_stops_at_the_cap():
-    assert partition_count(37, cap=21637) == 21637  # not over the cap: exact
-    assert partition_count(37, cap=21636) == 21637
-    assert partition_count(10, cap=15) == 22  # p(7) = 15 is not over the cap, p(8) = 22 is
-    assert partition_count(81, cap=1000) == 1002  # p(26), the first value over 1000
-    assert partition_count(10**12, cap=1000) == 1002  # a huge weight costs nothing more
+def test_more_partitions_than_stops_early():
+    assert _more_partitions_than(10, 15)  # p(7) = 15 is not over the limit, p(10) = 42 is
+    assert _more_partitions_than(10**12, 1000)  # stops at p(26) = 1002
 
 
 def test_orbit_label_validation():
@@ -353,24 +348,33 @@ def test_is_richardson_against_template_oracle():
 
 
 def _support_oracle(p):
-    """The trivial-system support of ft_support_info, from the public predicates."""
-    if all(x <= 2 for x in p.parts):
-        return SupportInfo("full", "g_1")
-    if is_richardson(p):
-        n_odd = sum(1 for x in p.parts if x % 2)
-        if n_odd == 1:
-            return SupportInfo("proper", "g_1^0")
-        return SupportInfo("proper", f"g_1^{(p.weight - n_odd) // 2}", general_template=True)
-    return SupportInfo("proper" if has_gaps(p) else "unknown")
+    """The trivial-system support of ft_support_info, from the definitions: gaps
+    by consecutive differences, Richardson by every odd part exceeding every even one."""
+    parts = p.parts
+    odds = [x for x in parts if x % 2]
+    evens = [x for x in parts if x % 2 == 0]
+    richardson = not (odds and evens and min(odds) < max(evens))
+    gaps = any(a - b >= 2 for a, b in zip(parts, parts[1:] + (0,)))
+    if all(x <= 2 for x in parts):
+        info = SupportInfo("full", "g_1")
+    elif richardson and len(odds) == 1:
+        info = SupportInfo("proper", "g_1^0")
+    elif richardson:
+        info = SupportInfo("proper", f"g_1^{(p.weight - len(odds)) // 2}", general_template=True)
+    else:
+        info = SupportInfo("proper" if gaps else "unknown")
+    return gaps, richardson, richardson and len(odds) == 1, info
 
 
-def test_classify_matches_the_public_predicates():
+def test_classify_matches_the_definitions():
     for weight in range(1, 26, 2):
         for p in partitions_of(weight):
-            oracle = _support_oracle(p)
-            assert _classify(p.parts) == (has_gaps(p), is_richardson(p), is_relevant_full(p),
-                                          oracle.flag, oracle.support_name), p
-            assert ft_support_info(OrbitLabel(weight // 2, p), "trivial") == oracle, p
+            gaps, richardson, relevant, info = _support_oracle(p)
+            assert _classify(p.parts) == (gaps, richardson, relevant,
+                                          info.flag, info.support_name), p
+            assert (has_gaps(p), is_richardson(p), is_relevant_full(p)) == (gaps, richardson, relevant)
+            assert ft_support_info(OrbitLabel(weight // 2, p), "trivial") == info, p
+    assert not has_gaps(P()) and has_gaps(P((2, 2))) and not has_gaps(P((2, 1, 1)))
 
 
 def test_richardson_label():
