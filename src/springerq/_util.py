@@ -17,6 +17,13 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def write_lines(lines, write) -> None:
+    """Write an iterable of strings through write, _BATCH of them at a time."""
+    lines = iter(lines)
+    while batch := list(itertools.islice(lines, _BATCH)):
+        write("".join(batch))
+
+
 def _scalar(v):
     """json.dumps text of a str, int, bool or None; None for anything else."""
     if isinstance(v, str):

@@ -18,7 +18,7 @@ import sys
 
 from . import qseries
 from .fano import fano_multiplicities
-from ._util import write_json
+from ._util import write_json, write_lines
 from .ic_engine import (
     GRADING_NOTE,
     closed_form_f,
@@ -61,21 +61,23 @@ def _output(args, doc, header, rows, pretty=None) -> None:
 
     json writes doc; tsv and pretty write header and rows, an iterable that
     is consumed only by those two formats.  pretty, when given, is the whole
-    pretty text and replaces the aligned table.
+    pretty text and replaces the aligned table.  tsv is written line by line
+    as rows are consumed; the aligned table holds every cell for its column
+    widths but never the whole text.
     """
     if args.format == "json":
         write_json(doc, sys.stdout.write)
-        text = "\n"
+        sys.stdout.write("\n")
     elif args.format == "tsv":
-        text = "".join("\t".join(map(_cell, r)) + "\n" for r in itertools.chain([header], rows))
+        write_lines(("\t".join(map(_cell, r)) + "\n" for r in itertools.chain([header], rows)),
+                    sys.stdout.write)
     elif pretty is not None:
-        text = pretty
+        sys.stdout.write(pretty)
     else:
-        cells = [header] + [[_cell(v) for v in row] for row in rows]
+        cells = [tuple(header)] + [tuple(map(_cell, row)) for row in rows]
         widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-        text = "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
-                       for r in cells)
-    sys.stdout.write(text)
+        write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
+                     for r in cells), sys.stdout.write)
 
 
 def _records(header, rows):
@@ -126,17 +128,28 @@ def _cmd_stalks(args) -> int:
     return 0
 
 
+# the cost of a fano table: each of its 2i(n-i)+1 rows costs its i+1 term
+# lookups plus about 4 more for writing its JSON object (on a 2-vCPU VM,
+# fano --n 120 --i 60 costs 468065 and takes about 2 s as JSON, fano --n
+# 41666 --i 1 costs 499986 and takes about 2.4 s)
+MAX_FANO_COST = 500_000
+
+
 def _cmd_fano(args) -> int:
-    table = fano_multiplicities(args.n, args.i)
+    n, i = args.n, args.i
+    cost = (2 * i * (n - i) + 1) * (i + 5)
+    if cost > MAX_FANO_COST:
+        raise ValueError(f"fano: --n {n} --i {i} costs {cost} > MAX_FANO_COST = {MAX_FANO_COST}")
+    table = fano_multiplicities(n, i)
     doc = {
         "n": table.rank,
         "i": table.planes_index,
         "complex_dim": table.complex_dim,
         "l_dims": [_jint(d) for d in table.l_dims],
-        "rows": [{"k": row.k, "degree": 2 * row.k,
+        "rows": ({"k": row.k, "degree": 2 * row.k,
                   "terms": [{"j": j, "mult": m} for j, m in row.terms],
                   "betti": _jint(row.betti)}
-                 for row in table.rows],
+                 for row in table.rows),
     }
     rows = ([row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
             for row in table.rows)

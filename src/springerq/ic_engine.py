@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .partitions import OrbitLabel, Partition, _classify
-from .qseries import LaurentPoly, ONE, ZERO, gaussian_binomial, og_poincare
+from .qseries import LaurentPoly, ONE, ZERO, gaussian_binomial, og_poincare, sum_of_products
 from ._util import binom
 
 __all__ = [
@@ -130,9 +130,8 @@ def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
         for j in range(1, i):
             # cross-rank reduction: T^i_j here is T^{i-j}_0 at rank n-j
             entries[(i, j)] = _solve_rank(n - j)[1].entries[(i - j, 0)]
-        residue = og_poincare(i, n).shift(-i * (2 * n - i + 1) // 2)
-        for j in range(1, i):
-            residue = residue - f[j] * entries[(i, j)]
+        residue = (og_poincare(i, n).shift(-i * (2 * n - i + 1) // 2)
+                   - sum_of_products((f[j], entries[(i, j)]) for j in range(1, i)))
         t0, remainder = _peel_symmetric(residue)
         entries[(i, 0)] = t0
         if not remainder.is_zero and remainder.max_exp >= 0:

@@ -11,15 +11,10 @@ Throughout the package the exponent a of q records the dimension of a
 cohomology group in (topological) degree 2a; odd-degree cohomology vanishes
 for every space we touch, so nothing is lost.
 
-A LaurentPoly keeps its lowest exponent and the dense, trimmed tuple of
-coefficients from there up, so storage grows with the span max_exp - min_exp
-rather than with the number of nonzero terms.  Products go through one
-big-integer multiplication (Kronecker substitution), division by 1 - q^l,
-the only divisor the closed forms use, is a strided prefix sum, and the
-symmetric peel of the stalk solver in ic_engine reads and rebuilds a
-coefficient range with :meth:`LaurentPoly.coefficients` and
-:meth:`LaurentPoly.from_coeffs` in one pass over the span.  The class
-docstring lists the cost of each operation.
+A LaurentPoly is a dense, trimmed coefficient tuple; the class docstring
+lists the cost of each operation.  The Poincare polynomials are built from
+cached neighbours, one factor 1 - q^l up and one down, and the stalk solver's
+sums of products go through :func:`sum_of_products`.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ __all__ = [
     "one_minus_q",
     "gaussian_binomial",
     "og_poincare",
+    "sum_of_products",
     "quadric_betti",
     "verify_sum_identity",
     "eval_at_one",
@@ -47,16 +43,18 @@ __all__ = [
 PairsOrMap = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 # Signed machine integer types by size, for Kronecker slots of 1 to 8 bytes.
-_SLOT_TYPES = sorted({array(t).itemsize: t for t in "bhiq"}.items())
-_ORDER = sys.byteorder
+_SLOT_TYPES = {array(t).itemsize: t for t in "bhiq"}
 
-# With at most this many nonzero terms in the shorter factor, multiplication
-# adds shifted scalar multiples of the longer factor instead of packing both
-# into big integers; the factors 1 - q^l of the closed forms take this path.
-# Products whose shorter factor has 3 to 8 nonzero terms (120 of them in
-# `stalks --n 20 --check`) ran 1.7x faster by Kronecker substitution on a
-# 2-vCPU Xeon under Python 3.11.
+# A factor with at most this many nonzero terms, such as 1 - q^l, is applied
+# as shifted scalar multiples of the other; with 3 to 8 terms Kronecker
+# substitution was 1.7x faster (2-vCPU Xeon, Python 3.11).
 _SCHOOLBOOK_TERMS = 2
+
+# sum_of_products splits the other factor by parity when a factor in q^2 has
+# at least this many coefficients.  At 64 the stalk solver's sums at rank 48
+# ran 1.5x faster than unsplit, and 16 or 128 no faster than 64; at rank 20
+# no cutoff differed measurably (2-vCPU VM, Python 3.11).
+_PARITY_TERMS = 64
 
 
 class LaurentPoly:
@@ -67,28 +65,21 @@ class LaurentPoly:
     is exact; division is available only through :meth:`exact_div`, which
     insists on a zero remainder.
 
-    The coefficients are stored densely: ``_lo`` is the lowest exponent and
-    ``_c`` the tuple of coefficients of q^_lo, q^(_lo+1), ..., trimmed so that
-    its first and last entries are nonzero; the zero polynomial has
-    ``_lo = 0`` and ``_c = ()``.  Storage is therefore proportional to the
-    span max_exp - min_exp, not to the number of nonzero terms.  The
-    polynomials this package builds are dense apart from the gaps left by
-    q -> q^2 and inside the factors 1 - q^l, so the trade costs nothing here;
-    a sparse polynomial of huge span, such as 1 + q^(10^9), would not fit.
-    With n the span of the longer operand, the costs are:
+    ``_lo`` is the lowest exponent and ``_c`` the coefficients of q^_lo,
+    q^(_lo+1), ..., trimmed so that the first and last are nonzero; the zero
+    polynomial has ``_lo = 0`` and ``_c = ()``.  Storage grows with the span,
+    so a sparse polynomial of huge span, such as 1 + q^(10^9), would not fit;
+    the polynomials of this package are dense.  With n the longer span:
 
-    - ``+``, ``-``, shifts, comparisons, :meth:`coefficients` and
-      :meth:`from_coeffs`: O(n);
-    - ``*``: one big-integer product of the coefficient sequences packed
-      into fixed-width slots (Kronecker substitution) and O(n) work around
-      it; a factor with at most 2 nonzero terms, such as 1 - q^l, is
-      applied as shifted scalar multiples instead, O(n);
-    - :meth:`exact_div` by 1 - q^l: a strided prefix sum, O(n); by anything
-      else, monomials included: long division, O(n (m + 1)) for a divisor
-      of span m.
+    - ``+``, ``-``, shifts, comparisons, :meth:`coefficients`: O(n);
+    - ``*``: one big-integer product (Kronecker substitution, see
+      :func:`sum_of_products`), or O(n) by a factor with at most 2 nonzero
+      terms, such as 1 - q^l;
+    - :meth:`exact_div` by 1 - q^l: O(n); by anything else: long division,
+      O(n (m + 1)) for a divisor of span m.
     """
 
-    __slots__ = ("_lo", "_c", "_hash")
+    __slots__ = ("_lo", "_c", "_hash", "_norms")
 
     def __init__(self, coeffs: PairsOrMap = ()):
         data: dict[int, int] = {}
@@ -105,6 +96,7 @@ class LaurentPoly:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_c", tuple(dense))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_norms", None)
 
     @classmethod
     def from_coeffs(cls, lo: int, coeffs: Iterable[int]) -> "LaurentPoly":
@@ -190,8 +182,10 @@ class LaurentPoly:
             a, b = b, a
         if len(a) - a.count(0) <= _SCHOOLBOOK_TERMS:
             c = _mul_scaled_shifts(a, b)
+        elif len(b) - b.count(0) <= _SCHOOLBOOK_TERMS:  # 1 - q^l past the other's span
+            c = _mul_scaled_shifts(b, a)
         else:
-            c = _mul_kronecker(a, b)
+            return sum_of_products([(self, other)])
         # the product of the two nonzero end coefficients survives, so no trim
         return _new(self._lo + other._lo, c)
 
@@ -305,6 +299,7 @@ def _new(lo: int, c: tuple[int, ...]) -> LaurentPoly:
     object.__setattr__(p, "_lo", lo)
     object.__setattr__(p, "_c", c)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_norms", None)
     return p
 
 
@@ -346,49 +341,57 @@ def _mul_scaled_shifts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-def _mul_kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product coefficients by Kronecker substitution.
+def _norms(p: LaurentPoly) -> tuple[int, int]:
+    """(sum, largest) of the absolute values of p's coefficients, computed once."""
+    if p._norms is None:
+        object.__setattr__(p, "_norms", (sum(map(abs, p._c)), max(map(abs, p._c))))
+    return p._norms
 
-    Each sequence c is read as the integer sum_k c[k] * 2^(s k) with slots of
-    s = 8w bits, wide enough that every product coefficient, a sum of at most
-    len(a) products, lies strictly inside (-2^(s-1), 2^(s-1)); the one
-    big-integer product is then read back slot by slot.  Slots hold
-    two's-complement values: with H the integer whose every slot is
-    2^(s-1), (X ^ H) - H turns the concatenated two's-complement slots X
-    into the signed sum, and (P + H) ^ H turns the signed sum P back.  Slots
-    of a machine integer width go through array; wider ones, needed once
-    that bound reaches 2^63, are converted one by one.  Bytes are in native
-    order throughout: on a big-endian machine every integer is the reversed
-    sequence, and the product of two reversed sequences is the reversed
-    product, so the slots come back in order.
-    """
-    bound = len(a) * max(map(abs, a)) * max(map(abs, b))
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for values of absolute value at most bound, rounded up
+    to a machine integer size (1, 2, 4 or 8) where one is wide enough."""
     w = (bound.bit_length() + 8) // 8
-    code = None
-    for size, t in _SLOT_TYPES:
-        if size >= w:
-            w, code = size, t
-            break
-    n = len(a) + len(b) - 1
-    slot = (1 << (8 * w - 1)).to_bytes(w, _ORDER)
+    return next((size for size in _SLOT_TYPES if size >= w), w)
 
-    def offset(length):
-        return int.from_bytes(slot * length, _ORDER)
 
-    def pack(c):
-        if code is not None:
-            raw = array(code, c).tobytes()
-        else:
-            raw = b"".join([x.to_bytes(w, _ORDER, signed=True) for x in c])
-        h = offset(len(c))
-        return (int.from_bytes(raw, _ORDER) ^ h) - h
+def _pack(c, w: int) -> int:
+    """The integer sum_k c[k] 2^(8wk) of the slot values c.
 
-    h = offset(n)
-    raw = ((pack(a) * pack(b) + h) ^ h).to_bytes(n * w, _ORDER)
-    if code is not None:
-        return tuple(array(code, raw))
-    return tuple([int.from_bytes(raw[k:k + w], _ORDER, signed=True)
-                  for k in range(0, n * w, w)])
+    Slots hold two's-complement values: with H the integer whose every slot
+    is 2^(8w-1), (X ^ H) - H turns the concatenated two's-complement slots X
+    into the signed sum, and _unpack's (P + H) ^ H turns a signed sum P back.
+    Slots of a machine integer size go through array, wider ones one by one.
+    Bytes are little-endian, so a shift by 8wk bits moves every slot up by k.
+    """
+    if w in _SLOT_TYPES:
+        raw = _array(_SLOT_TYPES[w], c).tobytes()
+    else:
+        raw = b"".join([x.to_bytes(w, "little", signed=True) for x in c])
+    h = _offset(len(c), w)
+    return (int.from_bytes(raw, "little") ^ h) - h
+
+
+def _unpack(x: int, n: int, w: int):
+    """The n slot values of x = sum_k c[k] 2^(8wk)."""
+    h = _offset(n, w)
+    raw = ((x + h) ^ h).to_bytes(n * w, "little")
+    if w in _SLOT_TYPES:
+        return _array(_SLOT_TYPES[w], raw)
+    return [int.from_bytes(raw[k:k + w], "little", signed=True) for k in range(0, n * w, w)]
+
+
+def _array(code: str, data) -> array:
+    """array(code, data) with its items in little-endian byte order."""
+    items = array(code, data)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _offset(n: int, w: int) -> int:
+    """The integer H whose n slots of w bytes each hold 2^(8w-1)."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little")
 
 
 def _div_one_minus_q(a: tuple[int, ...], l: int) -> list[int]:
@@ -396,11 +399,17 @@ def _div_one_minus_q(a: tuple[int, ...], l: int) -> list[int]:
 
     Run over all len(a) positions, the recurrence leaves a[k] + Q_(k-l) =
     Q_k in the top l slots, which vanish exactly when the division is exact.
-    The caller guarantees len(a) > l.
+    It runs as l prefix sums with stride l or, when that is fewer steps, as
+    len(a)/l additions of each block of l slots to the next.  The caller
+    guarantees len(a) > l.
     """
     q = list(a)
-    for r in range(l):
-        q[r::l] = itertools.accumulate(q[r::l])
+    if l * l < len(q):
+        for r in range(l):
+            q[r::l] = itertools.accumulate(q[r::l])
+    else:
+        for k in range(l, len(q), l):
+            q[k:k + l] = map(operator.add, q[k:k + l], q[k - l:k])
     if any(q[len(q) - l:]):
         raise ArithmeticError("inexact polynomial division")
     del q[len(q) - l:]
@@ -436,17 +445,62 @@ def one_minus_q(l: int) -> LaurentPoly:
     return LaurentPoly({0: 1, l: -1})
 
 
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of a * b over the pairs (a, b), by one Kronecker substitution.
+
+    Every product is one big-integer multiplication in slots wide enough for
+    the whole sum; the products are added as big integers, each shifted to
+    its lowest exponent, and only the sum is read back.  When one factor has
+    at least _PARITY_TERMS coefficients and lies in q^2, a = q^s g(q^2) as
+    every stalk polynomial f_i does, g multiplies the even and the odd
+    coefficients of the other factor in two half-length products, added into
+    separate sums over the even and the odd exponents.
+    """
+    pairs = [(a, b) for a, b in pairs if a._c and b._c]
+    if not pairs:
+        return ZERO
+    bound = 0
+    for a, b in pairs:
+        (sum_a, max_a), (sum_b, max_b) = _norms(a), _norms(b)
+        bound += min(sum_a * max_b, sum_b * max_a)
+    w = _slot_width(bound)
+    lo = min(a._lo + b._lo for a, b in pairs)
+    n = max(a.max_exp + b.max_exp + 1 for a, b in pairs) - lo
+    full, halves = 0, [0, 0]  # halves: exponents lo, lo + 2, ... and lo + 1, lo + 3, ...
+    for a, b in pairs:
+        x, y, e = a._c, b._c, a._lo + b._lo - lo
+        if len(y) >= _PARITY_TERMS and not any(y[1::2]):
+            x, y = y, x
+        if len(x) >= _PARITY_TERMS and not any(x[1::2]):
+            g = _pack(x[::2], w)
+            for r, part in ((e, y[::2]), (e + 1, y[1::2])):
+                if part:
+                    halves[r % 2] += (g * _pack(part, w)) << (8 * w * (r // 2))
+        else:
+            full += (_pack(x, w) * _pack(y, w)) << (8 * w * e)
+    out = list(_unpack(full, n, w))
+    for r in (0, 1):
+        out[r::2] = map(operator.add, out[r::2], _unpack(halves[r], (n - r + 1) // 2, w))
+    return _trimmed(lo, out)
+
+
 @functools.lru_cache(maxsize=None)
 def gaussian_binomial(k: int, m: int) -> LaurentPoly:
     """Gaussian binomial g_{k,m}(q), the Poincare polynomial of Gr(k, m).
 
-    Computed as prod_{l=m-k+1}^{m} (1-q^l) / prod_{l=1}^{k} (1-q^l) by exact
-    long division.  The result has nonnegative coefficients, degree k(m-k)
-    and palindromic coefficient sequence.
+    g_{k,m} = prod_{l=m-k+1}^{m} (1-q^l) / prod_{l=1}^{k} (1-q^l), built from
+    its cached diagonal neighbour as g_{k-1,m-1} * (1-q^m) / (1-q^k): one
+    scaled shift and one strided prefix sum.  The result has nonnegative
+    coefficients, degree k(m-k) and palindromic coefficient sequence.
     """
     if k < 0 or m < 0 or k > m:
         raise ValueError(f"gaussian binomial needs 0 <= k <= m, got k={k}, m={m}")
-    return _factor_ratio(range(m - k + 1, m + 1), range(1, k + 1))
+    if k == 0 or k == m:
+        return ONE
+    # ascending warm-up keeps the call to the neighbour one level deep
+    for d in range(1, k):
+        gaussian_binomial(d, m - k + d)
+    return (gaussian_binomial(k - 1, m - 1) * one_minus_q(m)).exact_div(one_minus_q(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -454,21 +508,16 @@ def og_poincare(i: int, n: int) -> LaurentPoly:
     """Poincare polynomial of the orthogonal Grassmannian OGr(i, 2n+1).
 
     og_{i,2n+1}(q) = prod_{l=n-i+1}^{n} (1-q^{2l}) / prod_{l=1}^{i} (1-q^l),
-    of degree i(4n-3i+1)/2.
+    of degree i(4n-3i+1)/2, built from its cached neighbour as
+    og_{i-1,2n+1} * (1-q^(2(n-i+1))) / (1-q^i).
     """
     if i < 0 or n < 0 or i > n:
         raise ValueError(f"og_poincare needs 0 <= i <= n, got i={i}, n={n}")
-    return _factor_ratio(range(2 * (n - i + 1), 2 * n + 1, 2), range(1, i + 1))
-
-
-def _factor_ratio(tops: range, bottoms: range) -> LaurentPoly:
-    """prod (1-q^a) over tops / prod (1-q^b) over bottoms, one factor at a time."""
-    out = ONE
-    for a in tops:
-        out = out * one_minus_q(a)
-    for b in bottoms:
-        out = out.exact_div(one_minus_q(b))
-    return out
+    if i == 0:
+        return ONE
+    for j in range(1, i):
+        og_poincare(j, n)
+    return (og_poincare(i - 1, n) * one_minus_q(2 * (n - i + 1))).exact_div(one_minus_q(i))
 
 
 def quadric_betti(rank: int, ambient: int) -> LaurentPoly:
@@ -503,13 +552,10 @@ def verify_sum_identity(n: int, i: int) -> bool:
     """
     if n < 1 or i < 0 or i > n:
         raise ValueError(f"verify_sum_identity needs 0 <= i <= n, n >= 1, got n={n}, i={i}")
-    lhs = og_poincare(i, n)
-    rhs = ZERO
-    for j in range(i + 1):
-        term = gaussian_binomial(j // 2, n).subs_power(2)
-        term = term * gaussian_binomial(i - j, 2 * n - i - j)
-        rhs = rhs + term.shift((i - j) * (i - j + 1) // 2)
-    return lhs == rhs
+    return og_poincare(i, n) == sum_of_products(
+        (gaussian_binomial(j // 2, n).subs_power(2).shift((i - j) * (i - j + 1) // 2),
+         gaussian_binomial(i - j, 2 * n - i - j))
+        for j in range(i + 1))
 
 
 def eval_at_one(p: LaurentPoly) -> int:

@@ -167,6 +167,25 @@ def test_orbits_refuses_exactly_the_tables_over_the_limit(monkeypatch, capsys):
     assert "orbits: --n 4 lists p(9) > MAX_ORBIT_ROWS = 15 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, i", [("200", "100"), (str(10**12), "5"), (str(10**12), str(10**12))])
+def test_fano_refuses_costly_input_with_exit_2(capsys, n, i):
+    started = time.perf_counter()
+    code, out = run_cli(["fano", "--n", n, "--i", i, "--format", "json"])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    assert f"MAX_FANO_COST = {cli.MAX_FANO_COST}" in err
+
+
+def test_fano_refuses_exactly_the_tables_over_the_limit(monkeypatch, capsys):
+    assert cli.MAX_FANO_COST >= 1251 * 30  # fano --n 50 --i 25 is served
+    monkeypatch.setattr(cli, "MAX_FANO_COST", 91)
+    assert run_cli(["fano", "--n", "5", "--i", "2", "--format", "tsv"])[0] == 0  # 13 rows * 7
+    assert run_cli(["fano", "--n", "6", "--i", "2", "--format", "tsv"]) == (2, "")  # 17 * 7
+    assert "fano: --n 6 --i 2 costs 119 > MAX_FANO_COST = 91" in capsys.readouterr().err
+
+
 def test_verify_n_max_20_within_budget():
     started = time.perf_counter()
     code, out = run_cli(["verify", "--n-max", "20", "--format", "json"])

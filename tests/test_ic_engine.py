@@ -106,6 +106,10 @@ def test_solver_matches_closed_forms_through_rank_24():
     check_solver_against_closed_forms(24)
 
 
+def test_solver_matches_closed_forms_through_rank_32():
+    check_solver_against_closed_forms(32)
+
+
 def test_multiplicity_entries_are_read_only():
     mult = solve_stalk_tables(3)[1]
     with pytest.raises(TypeError):

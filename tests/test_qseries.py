@@ -1,5 +1,8 @@
 """Laurent-polynomial arithmetic and closed-form Poincare polynomials."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +218,42 @@ def test_og_euler_char_powers_of_two():
 def test_og_rejects_bad_indices():
     with pytest.raises(ValueError):
         og_poincare(3, 2)
+
+
+# -- neighbour chains need no recursion -----------------------------------------
+
+
+def run_in_fresh_thread(limit, fn):
+    """fn() under recursion limit limit, in a new thread whose stack starts empty."""
+    result = {}
+
+    def target():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            result["value"] = fn()
+        except RecursionError as exc:
+            result["error"] = exc
+        finally:
+            sys.setrecursionlimit(old)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    assert "error" not in result, result.get("error")
+    return result["value"]
+
+
+def test_gaussian_long_chain_needs_no_recursion():
+    # 1500 diagonal steps from g_{0,1}, at the default recursion limit
+    assert gaussian_binomial(1500, 1501) == LaurentPoly.from_coeffs(0, [1] * 1501)
+
+
+def test_og_chain_runs_under_a_lowered_recursion_limit():
+    og_poincare.cache_clear()
+    og = run_in_fresh_thread(60, lambda: og_poincare(100, 100))
+    assert eval_at_one(og) == 2**100
+    assert og.max_exp == 100 * (4 * 100 - 3 * 100 + 1) // 2
 
 
 # -- quadrics -----------------------------------------------------------------

@@ -116,20 +116,20 @@ def test_both_multiplication_paths_match_dict_oracle(a, b):
     pa, pb = LaurentPoly(a), LaurentPoly(b)
     expected = oracle_mul(trimmed(a), trimmed(b))
     lo = pa.min_exp + pb.min_exp
-    for path in (qseries._mul_scaled_shifts, qseries._mul_kronecker):
-        got = path(dense(pa), dense(pb))
-        assert {lo + k: c for k, c in enumerate(got) if c} == expected, path.__name__
+    got = qseries._mul_scaled_shifts(dense(pa), dense(pb))
+    assert {lo + k: c for k, c in enumerate(got) if c} == expected
+    assert as_dict(qseries.sum_of_products([(pa, pb)])) == expected  # Kronecker substitution
 
 
 def test_kronecker_slot_widths():
-    # the bound 12 * big^2 needs slots of 1, 2, 3 (so 4), 5 (so 8), 9, 17
-    # and 51 bytes, the last three wider than a machine integer
+    # the bound 9 * big^2 - 4 * big needs slots of 1, 2, 3 (so 4), 5 (so 8),
+    # 9, 17 and 51 bytes, the last three wider than a machine integer
     for big in (3, 40, 200, 60_000, 2**30, 2**64, 2**200):
         a = tuple((-1) ** k * big for k in range(12))
         b = tuple(big - k % 2 for k in range(9))
         expected = oracle_mul(dict(enumerate(a)), dict(enumerate(b)))
-        got = qseries._mul_kronecker(a, b)
-        assert {k: c for k, c in enumerate(got) if c} == expected, big
+        got = qseries.sum_of_products([(LaurentPoly.from_coeffs(0, a), LaurentPoly.from_coeffs(0, b))])
+        assert as_dict(got) == expected, big
 
 
 @settings(max_examples=100)
@@ -192,6 +192,86 @@ def test_one_minus_q_rejects_nonzero_top_slots():
             for c in (1, -7, 2**65):
                 with pytest.raises(ArithmeticError):
                     (exact + LaurentPoly({k: c})).exact_div(one_minus_q(l))
+
+
+# -- sums of products ----------------------------------------------------------------
+
+
+@st.composite
+def q_squared_poly_dicts(draw, max_terms=40, max_width=40):
+    """q^s g(q^2) for a nonzero dict g: every other exponent from s is empty."""
+    g = draw(nonzero_poly_dicts(max_terms=max_terms, max_width=max_width))
+    s = draw(st.integers(min_value=-5, max_value=5))
+    return {s + 2 * e: c for e, c in g.items()}
+
+
+def oracle_sum_of_products(pairs):
+    out = {}
+    for a, b in pairs:
+        out = oracle_add(out, oracle_mul(a, b))
+    return out
+
+
+FACTORS = st.one_of(nonzero_poly_dicts(), q_squared_poly_dicts(), st.just({}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(FACTORS, FACTORS), max_size=6), st.sampled_from([2, 5, None]))
+def test_sum_of_products_matches_dict_oracle(pairs, cutoff):
+    """Any cutoff, the real one included, gives the oracle's sum."""
+    saved = qseries._PARITY_TERMS
+    qseries._PARITY_TERMS = saved if cutoff is None else cutoff
+    try:
+        got = qseries.sum_of_products((LaurentPoly(a), LaurentPoly(b)) for a, b in pairs)
+    finally:
+        qseries._PARITY_TERMS = saved
+    assert as_dict(got) == oracle_sum_of_products(pairs)
+
+
+def test_sum_of_products_on_both_sides_of_the_parity_cutoff():
+    cutoff = qseries._PARITY_TERMS
+    for g_len in (cutoff // 2 - 1, cutoff // 2, cutoff // 2 + 1, cutoff):
+        g = {e: (-1) ** e * (e + 1) * 2**50 for e in range(g_len)}
+        for s in (-3, 0, 1, 4):  # both parities of the lowest exponent
+            in_q2 = {s + 2 * e: c for e, c in g.items()}  # 2 g_len - 1 coefficients
+            for other_len in (1, 2, cutoff - 1, cutoff, cutoff + 1):
+                other = {e - 7: 3 * e + 1 for e in range(other_len)}  # not in q^2 past length 1
+                pairs = [(in_q2, other), (other, in_q2), (other, other), (in_q2, in_q2)]
+                got = qseries.sum_of_products((LaurentPoly(a), LaurentPoly(b)) for a, b in pairs)
+                assert as_dict(got) == oracle_sum_of_products(pairs), (g_len, s, other_len)
+
+
+def test_sum_of_products_of_nothing_or_zeros_is_zero():
+    assert qseries.sum_of_products([]) == qseries.ZERO
+    assert qseries.sum_of_products([(qseries.ZERO, ONE), (ONE, qseries.ZERO)]) == qseries.ZERO
+    assert qseries.sum_of_products([(ONE, ONE), (-ONE, ONE)]) == qseries.ZERO
+
+
+# -- Poincare polynomials against their product formulas ----------------------------
+
+
+def _factor_ratio(tops, bottoms):
+    """Oracle: prod (1-q^a) over tops / prod (1-q^b) over bottoms, one factor at a time."""
+    out = ONE
+    for a in tops:
+        out = out * one_minus_q(a)
+    for b in bottoms:
+        out = out.exact_div(one_minus_q(b))
+    return out
+
+
+def test_gaussian_binomial_matches_product_formula():
+    for m in range(41):
+        for k in range(m + 1):
+            expected = _factor_ratio(range(m - k + 1, m + 1), range(1, k + 1))
+            assert qseries.gaussian_binomial(k, m) == expected, (k, m)
+
+
+def test_og_poincare_matches_product_formula():
+    for n in range(41):
+        for i in range(n + 1):
+            expected = _factor_ratio(range(2 * (n - i + 1), 2 * n + 1, 2), range(1, i + 1))
+            assert qseries.og_poincare(i, n) == expected, (i, n)
 
 
 # -- against sympy ---------------------------------------------------------------
