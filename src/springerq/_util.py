@@ -25,7 +25,11 @@ def write_lines(lines, write) -> None:
 
 
 def _scalar(v):
-    """json.dumps text of a str, int, bool or None; None for anything else."""
+    """json.dumps text of a str, int, bool or None; None for anything else.
+
+    An int outside the signed 64-bit range [-2^63, 2^63) is written as its
+    decimal string, so that every reader gets it exactly.
+    """
     if isinstance(v, str):
         return _encode_str(v)
     if v is True:
@@ -33,14 +37,16 @@ def _scalar(v):
     if v is False:
         return "false"
     if isinstance(v, int):
-        return int.__repr__(v)
+        text = int.__repr__(v)
+        return text if -(2**63) <= v < 2**63 else f'"{text}"'
     if v is None:
         return "null"
     return None
 
 
 def write_json(doc, write) -> None:
-    """Write the text of json.dumps(doc, indent=2) through write, in batches.
+    """Write the text of json.dumps(doc, indent=2) through write, in batches,
+    with every int outside the signed 64-bit range written as a decimal string.
 
     doc is built of dicts with str keys, lists, tuples, str, int, bool and
     None; anything else, floats included, raises TypeError.  An iterator is

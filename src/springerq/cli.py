@@ -3,8 +3,8 @@
 Subcommands: orbits, stalks, fano, kostka, euler, ft-table, verify.  Every
 subcommand takes --format {pretty,json,tsv} (default pretty).  Output is
 deterministic: no timestamps, fixed row and field order.  JSON integers that
-do not fit in 64 bits are emitted as decimal strings; Laurent-polynomial
-coefficients are always decimal strings.
+do not fit in 64 bits are written as decimal strings by _util.write_json;
+Laurent-polynomial coefficients are always decimal strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -17,7 +17,7 @@ import operator
 import sys
 
 from . import qseries
-from .fano import fano_multiplicities
+from .fano import _l_dims, _rows
 from ._util import write_json, write_lines
 from .ic_engine import (
     GRADING_NOTE,
@@ -35,17 +35,6 @@ from .springer_typec import (
     verify_cc_identity,
     verify_two_power_sum,
 )
-
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
-
-
-def _jint(v):
-    """JSON-safe integer: decimal string once outside the 64-bit range."""
-    if v is None:
-        return None
-    return v if _I64_MIN <= v <= _I64_MAX else str(v)
-
 
 def _cell(v) -> str:
     """Text of one tsv or pretty cell: None is empty, bools read true/false."""
@@ -117,8 +106,8 @@ def _cmd_stalks(args) -> int:
     doc = {
         "rank": n,
         "grading": GRADING_NOTE,
-        "f": [stalks.f[i].json_pairs() for i in range(n + 1)],
-        "t": [[mult.t(i, j).json_pairs() for j in range(i + 1)] for i in range(1, n + 1)],
+        "f": (stalks.f[i].json_pairs() for i in range(n + 1)),
+        "t": ([mult.t(i, j).json_pairs() for j in range(i + 1)] for i in range(1, n + 1)),
     }
     rows = itertools.chain(
         (["f", i, None, stalks.f[i]] for i in range(n + 1)),
@@ -140,19 +129,19 @@ def _cmd_fano(args) -> int:
     cost = (2 * i * (n - i) + 1) * (i + 5)
     if cost > MAX_FANO_COST:
         raise ValueError(f"fano: --n {n} --i {i} costs {cost} > MAX_FANO_COST = {MAX_FANO_COST}")
-    table = fano_multiplicities(n, i)
+    l_dims = _l_dims(n, i)
     doc = {
-        "n": table.rank,
-        "i": table.planes_index,
-        "complex_dim": table.complex_dim,
-        "l_dims": [_jint(d) for d in table.l_dims],
+        "n": n,
+        "i": i,
+        "complex_dim": 2 * i * (n - i),
+        "l_dims": l_dims,
         "rows": ({"k": row.k, "degree": 2 * row.k,
                   "terms": [{"j": j, "mult": m} for j, m in row.terms],
-                  "betti": _jint(row.betti)}
-                 for row in table.rows),
+                  "betti": row.betti}
+                 for row in _rows(n, i, l_dims)),
     }
     rows = ([row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
-            for row in table.rows)
+            for row in _rows(n, i, l_dims))
     _output(args, doc, ["k", "degree", "betti", "terms"], rows)
     return 0
 
@@ -161,7 +150,7 @@ def _cmd_kostka(args) -> int:
     shape = Partition.parse(args.shape)
     weight = Partition.parse(args.weight)
     value = kostka(shape, weight)
-    doc = {"shape": shape.serialize(), "weight": weight.serialize(), "kostka": _jint(value)}
+    doc = {"shape": shape.serialize(), "weight": weight.serialize(), "kostka": value}
     _output(args, doc, list(doc), [doc.values()], pretty=f"{value}\n")
     return 0
 
@@ -179,9 +168,8 @@ def _cmd_euler(args) -> int:
 def _cmd_ft_table(args) -> int:
     header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
               "nontrivial_monodromy"]
-    # a big dimension reads the same as a _jint decimal string and as an int
-    rows = [(r.i, r.orbit.partition.serialize(), _jint(r.trivial_target_dim), r.trivial_monodromy,
-             _jint(r.nontrivial_target_dim), r.nontrivial_monodromy)
+    rows = [(r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
+             r.nontrivial_target_dim, r.nontrivial_monodromy)
             for r in ft_table(args.n)]
     _output(args, {"n": args.n, "rows": _records(header, rows)}, header, rows)
     return 0

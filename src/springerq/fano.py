@@ -9,6 +9,7 @@ which gives an independent reconstruction route used for cross-checking.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .qseries import LaurentPoly, gaussian_binomial
@@ -51,20 +52,26 @@ def _multiplicity(n: int, i: int, k: int, j: int) -> int:
     return gaussian_binomial(i - j, 2 * n - i - j)[k - j * (n - i)]
 
 
-def fano_multiplicities(n: int, i: int) -> FanoCohomology:
-    """The table of M_i(k, j) for k in [0, 2i(n-i)], j in [0, i]."""
+def _l_dims(n: int, i: int) -> tuple[int, ...]:
+    """dim L_j = C(2n+1, j) for j in [0, i]; raises ValueError unless 1 <= i <= n."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    dim = 2 * i * (n - i)
-    l_dims = tuple(binom(2 * n + 1, j) for j in range(i + 1))
-    rows = []
-    for k in range(dim + 1):
+    return tuple(binom(2 * n + 1, j) for j in range(i + 1))
+
+
+def _rows(n: int, i: int, l_dims: tuple[int, ...]) -> Iterator[FanoRow]:
+    """The row of each k in [0, 2i(n-i)], made as it is consumed."""
+    for k in range(2 * i * (n - i) + 1):
         terms = tuple(
             (j, m) for j in range(i + 1) if (m := _multiplicity(n, i, k, j)) > 0
         )
-        betti = sum(l_dims[j] * m for j, m in terms)
-        rows.append(FanoRow(k, terms, betti))
-    return FanoCohomology(n, i, dim, tuple(rows), l_dims)
+        yield FanoRow(k, terms, sum(l_dims[j] * m for j, m in terms))
+
+
+def fano_multiplicities(n: int, i: int) -> FanoCohomology:
+    """The table of M_i(k, j) for k in [0, 2i(n-i)], j in [0, i]."""
+    l_dims = _l_dims(n, i)
+    return FanoCohomology(n, i, 2 * i * (n - i), tuple(_rows(n, i, l_dims)), l_dims)
 
 
 def fano_betti_poly(n: int, i: int) -> LaurentPoly:

@@ -45,11 +45,6 @@ PairsOrMap = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 # Signed machine integer types by size, for Kronecker slots of 1 to 8 bytes.
 _SLOT_TYPES = {array(t).itemsize: t for t in "bhiq"}
 
-# A factor with at most this many nonzero terms, such as 1 - q^l, is applied
-# as shifted scalar multiples of the other; with 3 to 8 terms Kronecker
-# substitution was 1.7x faster (2-vCPU Xeon, Python 3.11).
-_SCHOOLBOOK_TERMS = 2
-
 # sum_of_products splits the other factor by parity when a factor in q^2 has
 # at least this many coefficients.  At 64 the stalk solver's sums at rank 48
 # ran 1.5x faster than unsplit, and 16 or 128 no faster than 64; at rank 20
@@ -73,8 +68,7 @@ class LaurentPoly:
 
     - ``+``, ``-``, shifts, comparisons, :meth:`coefficients`: O(n);
     - ``*``: one big-integer product (Kronecker substitution, see
-      :func:`sum_of_products`), or O(n) by a factor with at most 2 nonzero
-      terms, such as 1 - q^l;
+      :func:`sum_of_products`);
     - :meth:`exact_div` by 1 - q^l: O(n); by anything else: long division,
       O(n (m + 1)) for a divisor of span m.
     """
@@ -175,19 +169,7 @@ class LaurentPoly:
             return _new(self._lo, tuple([c * other for c in self._c]))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) - a.count(0) <= _SCHOOLBOOK_TERMS:
-            c = _mul_scaled_shifts(a, b)
-        elif len(b) - b.count(0) <= _SCHOOLBOOK_TERMS:  # 1 - q^l past the other's span
-            c = _mul_scaled_shifts(b, a)
-        else:
-            return sum_of_products([(self, other)])
-        # the product of the two nonzero end coefficients survives, so no trim
-        return _new(self._lo + other._lo, c)
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -328,17 +310,6 @@ def _add(x: LaurentPoly, y: LaurentPoly, op) -> LaurentPoly:
     j = i + len(y._c)
     out[i:j] = map(op, out[i:j], y._c)
     return _trimmed(lo, out)
-
-
-def _mul_scaled_shifts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product coefficients as the sum of a[i] * b shifted by i over nonzero a[i]."""
-    n = len(b)
-    out = [0] * (len(a) + n - 1)
-    for i, x in enumerate(a):
-        if x:
-            terms = b if x in (1, -1) else map(abs(x).__mul__, b)
-            out[i:i + n] = map(operator.sub if x < 0 else operator.add, out[i:i + n], terms)
-    return tuple(out)
 
 
 def _norms(p: LaurentPoly) -> tuple[int, int]:
@@ -490,8 +461,10 @@ def gaussian_binomial(k: int, m: int) -> LaurentPoly:
 
     g_{k,m} = prod_{l=m-k+1}^{m} (1-q^l) / prod_{l=1}^{k} (1-q^l), built from
     its cached diagonal neighbour as g_{k-1,m-1} * (1-q^m) / (1-q^k): one
-    scaled shift and one strided prefix sum.  The result has nonnegative
-    coefficients, degree k(m-k) and palindromic coefficient sequence.
+    subtraction and one strided prefix sum.  The whole diagonal chain
+    g_{d,m-k+d}, 0 < d <= k, stays cached, k polynomials in all.  The
+    result has nonnegative coefficients, degree k(m-k) and palindromic
+    coefficient sequence.
     """
     if k < 0 or m < 0 or k > m:
         raise ValueError(f"gaussian binomial needs 0 <= k <= m, got k={k}, m={m}")
@@ -500,7 +473,8 @@ def gaussian_binomial(k: int, m: int) -> LaurentPoly:
     # ascending warm-up keeps the call to the neighbour one level deep
     for d in range(1, k):
         gaussian_binomial(d, m - k + d)
-    return (gaussian_binomial(k - 1, m - 1) * one_minus_q(m)).exact_div(one_minus_q(k))
+    g = gaussian_binomial(k - 1, m - 1)
+    return (g - g.shift(m)).exact_div(one_minus_q(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -517,7 +491,8 @@ def og_poincare(i: int, n: int) -> LaurentPoly:
         return ONE
     for j in range(1, i):
         og_poincare(j, n)
-    return (og_poincare(i - 1, n) * one_minus_q(2 * (n - i + 1))).exact_div(one_minus_q(i))
+    og = og_poincare(i - 1, n)
+    return (og - og.shift(2 * (n - i + 1))).exact_div(one_minus_q(i))
 
 
 def quadric_betti(rank: int, ambient: int) -> LaurentPoly:

@@ -122,6 +122,34 @@ def test_fano_json_big_integers_round_trip():
     assert [row["terms"] for row in table["rows"]] == [row["terms"] for row in table["rows"][::-1]]
 
 
+def _leaves(value, key=None):
+    """(field name, value) of every scalar in a JSON document; a list's items
+    carry the name of the field that holds the list."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, key)
+    else:
+        yield key, value
+
+
+@pytest.mark.parametrize("argv, big_fields", [
+    (["euler", "--n", "67"], {"trivial": 8}),
+    (["fano", "--n", "68", "--i", "19"], {"mult": 119, "betti": 1019, "l_dims": 5}),
+])
+def test_every_json_integer_fits_in_64_bits_or_is_a_decimal_string(argv, big_fields):
+    code, out = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    leaves = list(_leaves(json.loads(out)))
+    assert all(-(2**63) <= v < 2**63 for _, v in leaves if type(v) is int)
+    for field, count in big_fields.items():
+        big = [v for key, v in leaves if key == field and isinstance(v, str)]
+        assert len(big) == count, field
+        assert all(str(int(v)) == v and not -(2**63) <= int(v) < 2**63 for v in big)
+
+
 def test_kostka_pretty_prints_bare_number():
     code, out = run_cli(["kostka", "--shape", "2,1", "--weight", "1,1,1"])
     assert code == 0

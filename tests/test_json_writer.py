@@ -1,4 +1,8 @@
-"""The streaming JSON writer against json.dumps(..., indent=2)."""
+"""The streaming JSON writer against json.dumps(..., indent=2).
+
+The oracle is json.dumps after the writer's one rule: an int outside the
+signed 64-bit range is written as its decimal string.
+"""
 
 import io
 import json
@@ -24,11 +28,15 @@ def written(doc) -> str:
 
 
 def _held(value):
-    """value with every iterator turned into a list, as json.dumps needs it."""
+    """value as the writer renders it, for json.dumps: every iterator turned
+    into a list, and every int outside the signed 64-bit range into its
+    decimal string."""
     if isinstance(value, dict):
         return {k: _held(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, Iterator)):
         return [_held(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool) and not -(2**63) <= value < 2**63:
+        return str(value)
     return value
 
 
@@ -62,6 +70,14 @@ def test_writer_handles_every_container_shape():
                 [[[1]]], {"": ""}, {"%s": "%d", "%": 1}, {"%%": {"%": []}}, [{"a": 1}, {"b": 2}, {"a": 3}],
                 0, -1, True, False, None, "x"):
         assert written(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_ints_outside_64_bits_are_written_as_decimal_strings():
+    inside = [0, 2**63 - 1, -(2**63)]
+    outside = [2**63, -(2**63) - 1, 3**300, -(7**99)]
+    assert written(inside + outside) == json.dumps(inside + [str(v) for v in outside], indent=2)
+    assert written({"a": 2**64, "b": [True, 2**64]}) == json.dumps(
+        {"a": "18446744073709551616", "b": [True, "18446744073709551616"]}, indent=2)
 
 
 def test_iterators_are_written_as_arrays_as_they_are_consumed():
@@ -118,10 +134,10 @@ DOCS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(DOCS)
 def test_writer_matches_json_dumps_on_generated_documents(doc):
-    assert written(doc) == json.dumps(doc, indent=2)
+    assert written(doc) == json.dumps(_held(doc), indent=2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(DOCS, max_size=8))
 def test_writer_matches_json_dumps_on_generated_iterators(items):
-    assert written({"rows": iter(items)}) == json.dumps({"rows": items}, indent=2)
+    assert written({"rows": iter(items)}) == json.dumps(_held({"rows": items}), indent=2)

@@ -3,9 +3,10 @@
 Two oracles live here and share no code with springerq.qseries: a schoolbook
 product and a long division over plain dicts (exponent -> coefficient), and
 sympy's Poly over ZZ after shifting to nonnegative exponents.  The inputs
-cover both multiplication paths (shifted scalar multiples and Kronecker
-substitution, with slots of machine width and wider), negative coefficients
-and coefficients beyond 2^64, supports with interior gaps, and the 1 - q^l
+cover both multiplication paths (``*`` and :func:`sum_of_products`, one
+Kronecker substitution with slots of machine width and wider), sparse factors
+such as 1 - q^l past the other factor's span, negative coefficients and
+coefficients beyond 2^64, supports with interior gaps, and the 1 - q^l
 division path on exact and inexact dividends.
 """
 
@@ -76,12 +77,6 @@ def as_dict(p):
     return dict(p.to_pairs())
 
 
-def dense(p):
-    """Coefficient tuple of p from min_exp to max_exp, zeros included."""
-    pairs = dict(p.to_pairs())
-    return tuple(pairs.get(e, 0) for e in range(p.min_exp, p.max_exp + 1))
-
-
 def div_or_error(a, b):
     try:
         return as_dict(a.exact_div(b))
@@ -115,10 +110,24 @@ def test_add_sub_mul_match_dict_oracle(a, b):
 def test_both_multiplication_paths_match_dict_oracle(a, b):
     pa, pb = LaurentPoly(a), LaurentPoly(b)
     expected = oracle_mul(trimmed(a), trimmed(b))
-    lo = pa.min_exp + pb.min_exp
-    got = qseries._mul_scaled_shifts(dense(pa), dense(pb))
-    assert {lo + k: c for k, c in enumerate(got) if c} == expected
-    assert as_dict(qseries.sum_of_products([(pa, pb)])) == expected  # Kronecker substitution
+    assert as_dict(pa * pb) == as_dict(pb * pa) == expected
+    assert as_dict(qseries.sum_of_products([(pa, pb)])) == expected
+
+
+SPARSE_COEFFS = st.sampled_from([1, -1, 2**80, -(2**80)]) | SMALL.filter(bool)
+
+
+@settings(max_examples=100)
+@given(st.data(), nonzero_poly_dicts(), SPARSE_COEFFS, st.integers(min_value=-20, max_value=20))
+def test_products_by_sparse_factors_match_dict_oracle(data, a, c, s):
+    pa = LaurentPoly(a)
+    span = pa.max_exp - pa.min_exp
+    l = data.draw(st.integers(min_value=1, max_value=span + 10), label="l")
+    for factor in ({s: c}, {s: c, s + l: -c}, {0: 1, span + 1: -1}, {0: 1, span + l: -1}):
+        expected = oracle_mul(trimmed(a), factor)
+        pf = LaurentPoly(factor)
+        assert as_dict(pa * pf) == as_dict(pf * pa) == expected, factor
+        assert as_dict(qseries.sum_of_products([(pf, pa), (pa, pf)])) == oracle_add(expected, expected)
 
 
 def test_kronecker_slot_widths():
