@@ -7,7 +7,7 @@ from collections.abc import Iterator
 
 # the string encoder json.dumps uses with its default ensure_ascii=True
 _encode_str = json.encoder.encode_basestring_ascii
-_BATCH = 4096  # pieces per write
+_BATCH = 1 << 16  # characters per write
 
 
 def binom(a: int, b: int) -> int:
@@ -18,10 +18,17 @@ def binom(a: int, b: int) -> int:
 
 
 def write_lines(lines, write) -> None:
-    """Write an iterable of strings through write, _BATCH of them at a time."""
-    lines = iter(lines)
-    while batch := list(itertools.islice(lines, _BATCH)):
-        write("".join(batch))
+    """Write an iterable of strings through write, joined into writes of at
+    least _BATCH characters each (the last may be shorter); no string is split."""
+    pending, size = [], 0
+    for line in lines:
+        pending.append(line)
+        size += len(line)
+        if size >= _BATCH:
+            write("".join(pending))
+            pending, size = [], 0
+    if size:
+        write("".join(pending))
 
 
 def _scalar(v):
@@ -44,57 +51,50 @@ def _scalar(v):
     return None
 
 
+def _text(value, indent) -> str:
+    """The whole text of a dict, list, tuple or iterator; indent is a newline
+    and its spaces.  Anything else raises TypeError."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_encode_str(k)}: {_scalar(v) or _text(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple, Iterator)):
+        items, brackets = [inner + (_scalar(v) or _text(v, inner)) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{brackets[0]}{','.join(items)}{indent}{brackets[1]}" if items else brackets
+
+
+def _pieces(value, indent):
+    """Yield the text of a dict or an iterator one item per piece, streaming an
+    item that is an iterator the same way, and of anything else whole."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        heads, items, brackets = (f"{inner}{_encode_str(k)}: " for k in value), value.values(), "{}"
+    elif isinstance(value, Iterator):
+        heads, items, brackets = itertools.repeat(inner), value, "[]"
+    else:
+        yield _scalar(value) or _text(value, indent)
+        return
+    sep = brackets[0]
+    for head, item in zip(heads, items):
+        if isinstance(item, Iterator):
+            yield sep + head
+            yield from _pieces(item, inner)
+        else:
+            yield sep + head + (_scalar(item) or _text(item, inner))
+        sep = ","
+    yield indent + brackets[1] if sep == "," else brackets
+
+
 def write_json(doc, write) -> None:
-    """Write the text of json.dumps(doc, indent=2) through write, in batches,
-    with every int outside the signed 64-bit range written as a decimal string.
+    """Write the text of json.dumps(doc, indent=2) through write_lines, with
+    every int outside the signed 64-bit range written as a decimal string.
 
     doc is built of dicts with str keys, lists, tuples, str, int, bool and
     None; anything else, floats included, raises TypeError.  An iterator is
     written as an array as it is consumed, so a table never sits in memory
-    as objects or as text.  A container that holds only scalars is rendered
-    as one string.  The stdlib's indenting encoder is pure Python and
-    returns the whole text at once.
+    as objects or as text, as it would with the stdlib's indenting encoder.
     """
-    pieces = []
-
-    def put(value, indent):
-        """Append the text of a container; indent is a newline and its spaces."""
-        inner = indent + "  "
-        if isinstance(value, dict):
-            heads = [f"{inner}{_encode_str(k)}: " for k in value]
-            texts = list(map(_scalar, value.values()))
-            if None not in texts:  # only scalars: one piece
-                pieces.append("{" + ",".join(map(str.__add__, heads, texts)) + indent + "}"
-                              if texts else "{}")
-                return
-            items, brackets = value.values(), "{}"
-        elif isinstance(value, (list, tuple)):
-            texts = list(map(_scalar, value))
-            if None not in texts:
-                pieces.append(f"[{inner}{(',' + inner).join(texts)}{indent}]" if texts else "[]")
-                return
-            heads, items, brackets = itertools.repeat(inner), value, "[]"
-        elif isinstance(value, Iterator):  # written as it is consumed, never held
-            heads, items, brackets = itertools.repeat(inner), value, "[]"
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        sep = brackets[0]
-        for head, item in zip(heads, items):
-            text = _scalar(item)
-            if text is None:
-                pieces.append(sep + head)
-                put(item, inner)
-            else:
-                pieces.append(sep + head + text)
-            sep = ","
-            if len(pieces) >= _BATCH:
-                write("".join(pieces))
-                pieces.clear()
-        pieces.append(indent + brackets[1] if sep == "," else brackets)
-
-    text = _scalar(doc)
-    if text is None:
-        put(doc, "\n")
-    else:
-        pieces.append(text)
-    write("".join(pieces))
+    write_lines(_pieces(doc, "\n"), write)

@@ -6,7 +6,8 @@ deterministic: no timestamps, fixed row and field order.  JSON integers that
 do not fit in 64 bits are written as decimal strings by _util.write_json;
 Laurent-polynomial coefficients are always decimal strings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import operator
+import os
 import sys
 
 from . import qseries
@@ -50,9 +52,11 @@ def _output(args, doc, header, rows, pretty=None) -> None:
 
     json writes doc; tsv and pretty write header and rows, an iterable that
     is consumed only by those two formats.  pretty, when given, is the whole
-    pretty text and replaces the aligned table.  tsv is written line by line
-    as rows are consumed; the aligned table holds every cell for its column
-    widths but never the whole text.
+    pretty text and replaces the aligned table.  Every format is written by
+    _util.write_lines in writes of about _BATCH (64 KiB) characters, as its
+    rows are consumed; the aligned table holds every cell for its column
+    widths but never the whole text.  stdout is flushed at the end, so that
+    a closed pipe shows while main can still catch it.
     """
     if args.format == "json":
         write_json(doc, sys.stdout.write)
@@ -67,6 +71,7 @@ def _output(args, doc, header, rows, pretty=None) -> None:
         widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
         write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
                      for r in cells), sys.stdout.write)
+    sys.stdout.flush()
 
 
 def _records(header, rows):
@@ -107,7 +112,7 @@ def _cmd_stalks(args) -> int:
         "rank": n,
         "grading": GRADING_NOTE,
         "f": (stalks.f[i].json_pairs() for i in range(n + 1)),
-        "t": ([mult.t(i, j).json_pairs() for j in range(i + 1)] for i in range(1, n + 1)),
+        "t": ((mult.t(i, j).json_pairs() for j in range(i + 1)) for i in range(1, n + 1)),
     }
     rows = itertools.chain(
         (["f", i, None, stalks.f[i]] for i in range(n + 1)),
@@ -119,8 +124,8 @@ def _cmd_stalks(args) -> int:
 
 # the cost of a fano table: each of its 2i(n-i)+1 rows costs its i+1 term
 # lookups plus about 4 more for writing its JSON object (on a 2-vCPU VM,
-# fano --n 120 --i 60 costs 468065 and takes about 2 s as JSON, fano --n
-# 41666 --i 1 costs 499986 and takes about 2.4 s)
+# fano --n 120 --i 60 costs 468065 and takes about 0.7 s as JSON, fano --n
+# 41666 --i 1 costs 499986 and takes about 0.75 s)
 MAX_FANO_COST = 500_000
 
 
@@ -310,6 +315,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:  # stdout's reader left: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Cohomology of Fano varieties of (i-1)-planes in a smooth intersection of
 two quadrics in P^(2n).
 
-H^(2k) decomposes as a sum of local systems L_j of dimension C(2n+1, j) with
-multiplicities M_i(k, j) read off Gaussian binomials; odd cohomology
-vanishes.  The same numbers are the order-two decomposition multiplicities,
-which gives an independent reconstruction route used for cross-checking.
+H^(2k) decomposes as a sum of local systems L_j of dimension C(2n+1, j);
+odd cohomology vanishes.  The multiplicity M_i(k, j) is the coefficient of
+q^(k - i(n-i)) in the order-two decomposition multiplicity T^i_j, read off
+its closed form; the solver's T^i_j give an independent route to the Betti
+numbers, used for cross-checking.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .qseries import LaurentPoly, gaussian_binomial
-from .ic_engine import solve_stalk_tables
+from .qseries import LaurentPoly
+from .ic_engine import closed_form_t, solve_stalk_tables
 from ._util import binom
 
 __all__ = [
@@ -47,11 +48,6 @@ class FanoCohomology:
     l_dims: tuple[int, ...]
 
 
-def _multiplicity(n: int, i: int, k: int, j: int) -> int:
-    """M_i(k, j): coefficient of q^(k - j(n-i)) in g_{i-j, 2n-i-j}(q); 0 out of range."""
-    return gaussian_binomial(i - j, 2 * n - i - j)[k - j * (n - i)]
-
-
 def _l_dims(n: int, i: int) -> tuple[int, ...]:
     """dim L_j = C(2n+1, j) for j in [0, i]; raises ValueError unless 1 <= i <= n."""
     if not 1 <= i <= n:
@@ -61,10 +57,9 @@ def _l_dims(n: int, i: int) -> tuple[int, ...]:
 
 def _rows(n: int, i: int, l_dims: tuple[int, ...]) -> Iterator[FanoRow]:
     """The row of each k in [0, 2i(n-i)], made as it is consumed."""
+    t = [closed_form_t(n, i, j) for j in range(i + 1)]
     for k in range(2 * i * (n - i) + 1):
-        terms = tuple(
-            (j, m) for j in range(i + 1) if (m := _multiplicity(n, i, k, j)) > 0
-        )
+        terms = tuple((j, m) for j, tj in enumerate(t) if (m := tj[k - i * (n - i)]) > 0)
         yield FanoRow(k, terms, sum(l_dims[j] * m for j, m in terms))
 
 
@@ -74,28 +69,23 @@ def fano_multiplicities(n: int, i: int) -> FanoCohomology:
     return FanoCohomology(n, i, 2 * i * (n - i), tuple(_rows(n, i, l_dims)), l_dims)
 
 
+def _betti_poly(n: int, i: int, t) -> LaurentPoly:
+    """sum_j C(2n+1, j) T^i_j q^(i(n-i)), with T^i_j = t(j); its coefficient of
+    q^k is b_{2k}.  Raises ValueError unless 1 <= i <= n, before calling t."""
+    terms = [d * t(j) for j, d in enumerate(_l_dims(n, i))]
+    return sum(terms, LaurentPoly()).shift(i * (n - i))
+
+
 def fano_betti_poly(n: int, i: int) -> LaurentPoly:
-    """sum_k b_{2k} q^k with b_{2k} = sum_j C(2n+1, j) M_i(k, j)."""
-    table = fano_multiplicities(n, i)
-    return LaurentPoly({row.k: row.betti for row in table.rows if row.betti})
+    """sum_k b_{2k} q^k with b_{2k} = sum_j C(2n+1, j) M_i(k, j), from the
+    closed forms of T^i_j."""
+    return _betti_poly(n, i, lambda j: closed_form_t(n, i, j))
 
 
 def fano_betti_poly_from_multiplicities(n: int, i: int) -> LaurentPoly:
-    """Reconstruction through the solver: H^k picks up L_j with multiplicity
-    t^i_{j, |2i(n-i) - k|}.  Must agree with fano_betti_poly coefficientwise."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    mult = solve_stalk_tables(n)[1]
-    dim = 2 * i * (n - i)
-    out: dict[int, int] = {}
-    for k in range(dim + 1):
-        b = sum(
-            binom(2 * n + 1, j) * mult.t_coeff(i, j, abs(dim - 2 * k))
-            for j in range(i + 1)
-        )
-        if b:
-            out[k] = b
-    return LaurentPoly(out)
+    """The same polynomial from the solver's T^i_j, an independent route:
+    must agree with fano_betti_poly coefficientwise."""
+    return _betti_poly(n, i, lambda j: solve_stalk_tables(n)[1].t(i, j))
 
 
 def fano_lines_table(n: int) -> list[tuple[int, int, bool, bool]]:

@@ -312,3 +312,18 @@ def test_cli_runs_as_a_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert "all suites passed" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly_with_141(fmt):
+    argv = ["orbits", "--n", "14", "--format", fmt]
+    assert len(run_cli(argv)[1]) > 2**17  # more than a pipe buffer holds
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen([sys.executable, "-m", "springerq", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"partition" if fmt == "tsv" else b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

@@ -48,6 +48,16 @@ def test_two_routes_agree():
             assert fano_betti_poly(n, i) == fano_betti_poly_from_multiplicities(n, i), (n, i)
 
 
+def test_table_betti_column_equals_betti_poly():
+    # two computations: each row reads one coefficient of every T^i_j, while
+    # fano_betti_poly sums the polynomials C(2n+1, j) T^i_j whole
+    for n in range(1, 9):
+        for i in range(1, n + 1):
+            table = fano_multiplicities(n, i)
+            betti = fano_betti_poly(n, i).coefficients(0, table.complex_dim + 1)
+            assert [row.betti for row in table.rows] == betti, (n, i)
+
+
 def test_multiplicities_match_solver_table():
     # M_i(k, j) is the coefficient of q^(k - i(n-i)) in T^i_j
     for n in range(1, 9):

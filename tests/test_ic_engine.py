@@ -131,6 +131,18 @@ def test_multiplicity_table_copies_its_entries():
     assert table.t(1, 0) == LaurentPoly({-1: 1, 0: 1, 1: 1})
 
 
+def test_t_coeff_is_zero_at_odd_shifts_and_reads_even_ones():
+    mult = solve_stalk_tables(5)[1]
+    for i in range(1, 6):
+        for j in range(i + 1):
+            t = mult.t(i, j)
+            for k2 in range(-21, 22):
+                assert mult.t_coeff(i, j, k2) == (0 if k2 % 2 else t[k2 // 2]), (i, j, k2)
+    # T^2_0 at rank 5 has coefficients 1 1 2 2 3 3 4 3 3 2 2 1 1 on q^-6 .. q^6
+    assert [mult.t_coeff(2, 0, k2) for k2 in range(-8, 9)] == [2, 0, 2, 0, 3, 0, 3, 0, 4,
+                                                               0, 3, 0, 3, 0, 2, 0, 2]
+
+
 def test_cross_rank_reduction():
     for n in range(2, 9):
         mult = solve_stalk_tables(n)[1]

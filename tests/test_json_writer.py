@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from springerq import cli
-from springerq._util import write_json
+from springerq._util import _BATCH, _pieces, write_json, write_lines
 
 from test_cli import GOLDEN_CASES, run_cli
 
@@ -86,6 +86,48 @@ def test_iterators_are_written_as_arrays_as_they_are_consumed():
         {"rows": [dict(a=k, b=[k] * k) for k in range(3)], "empty": []}, indent=2)
 
 
+def check_batches(lines):
+    """write_lines(lines) writes the exact text in writes of at least _BATCH
+    characters but the last, each ending where a line ends and made as soon
+    as _BATCH characters are pending."""
+    writes = []
+    write_lines(iter(lines), writes.append)
+    assert "".join(writes) == "".join(lines)
+    assert all(len(w) >= _BATCH for w in writes[:-1])
+    k = 0
+    for w in writes:
+        assert w  # no empty write
+        size = 0
+        while size < len(w):
+            last, size, k = size, size + len(lines[k]), k + 1
+        assert size == len(w), "a line was split"
+        assert last < _BATCH, "a write came late"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2 * _BATCH), max_size=40))
+def test_write_lines_writes_whole_lines_in_batches_of_at_least_BATCH(lengths):
+    check_batches([chr(ord("a") + k % 26) * length for k, length in enumerate(lengths)])
+
+
+def test_write_lines_counts_characters_not_lines():
+    check_batches(["abc\n"] * 100_000 + ["x" * (3 * _BATCH)] + ["\n"] * 10)
+
+
+def test_pieces_hold_at_most_one_item_of_an_iterator():
+    marks = [f"<{k}>" for k in range(12)]
+
+    def doc(live):
+        it = iter if live else list
+        return {"rows": it([{"m": marks[0]}, [marks[1]], marks[2]]),
+                "nested": it([it([marks[3], marks[4]]), it([]), marks[5]]),
+                "t": it(it([marks[k], [marks[k + 1]]]) for k in (6, 8, 10))}
+
+    pieces = list(_pieces(doc(True), "\n"))
+    assert all(sum(m in piece for m in marks) <= 1 for piece in pieces)
+    assert "".join(pieces) == json.dumps(doc(False), indent=2)
+
+
 def test_a_long_table_is_written_in_batches():
     rows = [{"k": k, "s": str(k)} for k in range(20000)]
     expected = json.dumps({"rows": rows}, indent=2)
@@ -122,9 +164,29 @@ SCALARS = (
     | st.text()
     | st.text(alphabet=st.characters(max_codepoint=0x20))
 )
+
+
+class _Iter(list):
+    """A drawn array that the writer is given as an iterator."""
+
+
+def _live(value):
+    """The writer's copy of a drawn document: every _Iter becomes a fresh
+    iterator whose items are built as it is consumed."""
+    if isinstance(value, dict):
+        return {k: _live(v) for k, v in value.items()}
+    if isinstance(value, _Iter):
+        return (_live(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_live, value))
+    return value
+
+
+# iterators at any depth: inside dicts, lists and tuples, and inside iterators
 DOCS = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=6)
+    | st.lists(inner, max_size=6).map(_Iter)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=5), inner, max_size=6),
     max_leaves=40,
@@ -134,10 +196,11 @@ DOCS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(DOCS)
 def test_writer_matches_json_dumps_on_generated_documents(doc):
-    assert written(doc) == json.dumps(_held(doc), indent=2)
+    assert written(_live(doc)) == json.dumps(_held(doc), indent=2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(DOCS, max_size=8))
 def test_writer_matches_json_dumps_on_generated_iterators(items):
-    assert written({"rows": iter(items)}) == json.dumps(_held({"rows": items}), indent=2)
+    doc = {"rows": _Iter(items), "table": _Iter([_Iter(items), _Iter(items[1:])])}
+    assert written(_live(doc)) == json.dumps(_held(doc), indent=2)
