@@ -51,14 +51,39 @@ def _scalar(v):
     return None
 
 
+class Records(Iterator):
+    """A table as an iterator of dict(zip(header, row)), one per row, made as
+    it is consumed.  write_json instead writes each row from one template of
+    the header's keys, with no dict built and no key encoded again; so the
+    header must not repeat a key.
+    """
+
+    def __init__(self, header, rows):
+        self.header, self.rows = list(header), iter(rows)
+
+    def __next__(self):
+        return dict(zip(self.header, next(self.rows)))
+
+
+def _objects(records, indent):
+    """Yield indent and the text of each row of records as a JSON object."""
+    inner = indent + "  "
+    heads = [f"{inner}{_encode_str(k)}: " for k in records.header]
+    for row in records.rows:
+        items = [h + (_scalar(v) or _text(v, inner)) for h, v in zip(heads, row)]
+        yield f"{indent}{{{','.join(items)}{indent}}}" if items else indent + "{}"
+
+
 def _text(value, indent) -> str:
-    """The whole text of a dict, list, tuple or iterator; indent is a newline
-    and its spaces.  Anything else raises TypeError."""
+    """The whole text of a dict, list, tuple, Records or iterator; indent is
+    a newline and its spaces.  Anything else raises TypeError."""
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f"{inner}{_encode_str(k)}: {_scalar(v) or _text(v, inner)}"
                  for k, v in value.items()]
         brackets = "{}"
+    elif type(value) is Records:  # not isinstance: an ABC's check would slow every list
+        items, brackets = list(_objects(value, inner)), "[]"
     elif isinstance(value, (list, tuple, Iterator)):
         items, brackets = [inner + (_scalar(v) or _text(v, inner)) for v in value], "[]"
     else:
@@ -67,9 +92,16 @@ def _text(value, indent) -> str:
 
 
 def _pieces(value, indent):
-    """Yield the text of a dict or an iterator one item per piece, streaming an
-    item that is an iterator the same way, and of anything else whole."""
+    """Yield the text of a dict, Records or iterator one item per piece,
+    streaming an item that is an iterator the same way, and of anything else whole."""
     inner = indent + "  "
+    if type(value) is Records:
+        sep = "["
+        for text in _objects(value, inner):
+            yield sep + text
+            sep = ","
+        yield indent + "]" if sep == "," else "[]"
+        return
     if isinstance(value, dict):
         heads, items, brackets = (f"{inner}{_encode_str(k)}: " for k in value), value.values(), "{}"
     elif isinstance(value, Iterator):

@@ -7,6 +7,10 @@ the closure (dominance) order, the gap criterion for induced orbits,
 Richardson and relevance templates, the one-step branching of resolution
 fibers, and the fiber-dimension bound they produce, all without recursion.
 
+One enumerator, _runs_of, walks partitions as (value, multiplicity) runs
+(Knuth, TAOCP 4A, 7.2.1.4): partitions_of expands them and _orbit_rows reads
+table rows off them.  The one classification rule, _classify_runs, reads runs.
+
 A partition of odd weight 2n+1 always has an odd number of odd parts; the
 template predicates below exploit this.
 """
@@ -53,7 +57,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
         for k, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {parts!r}")
             if k and parts[k - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
@@ -154,27 +158,51 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest-first lexicographic order."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    cap = n if max_part is None else max_part
-    if n and cap < 1:
+    for runs in _runs_of(n, n if max_part is None else max_part):
+        yield Partition._trusted(tuple(itertools.chain.from_iterable([v] * m for v, m in runs)))
+
+
+def _runs_of(n: int, cap: int) -> Iterator[list[list[int]]]:
+    """The partitions of n >= 0 with no part over cap in partitions_of's
+    order, each as its [value, multiplicity] runs, largest value first.
+
+    One list is yielded each time and changed in place between yields, so a
+    caller copies what must outlive the next step.  A step drops the run of
+    1s, takes one copy off the smallest run left and refills greedily with
+    copies of its value - 1 and a remainder.
+    """
+    if n == 0:
+        yield []
         return
-    parts: list[int] = []
-    rest = n
-    while True:
-        if rest:  # greedy fill: copies of the largest allowed part, then the remainder
-            top = min(parts[-1] if parts else cap, rest)
-            parts += [top] * (rest // top)
-            if rest % top:
-                parts.append(rest % top)
-            rest = 0
-        yield Partition._trusted(tuple(parts))
-        if parts and parts[-1] == 1:  # drop the 1s, lower the last part, refill
-            ones = parts.index(1)
-            rest += len(parts) - ones
-            del parts[ones:]
-        if not parts:
+    runs, rest, top = [], n, min(cap, n)
+    while top >= 1:  # false at once for cap < 1; a step leaves top >= 1
+        copies, rest = divmod(rest, top)
+        runs.append([top, copies])
+        if rest:
+            runs.append([rest, 1])
+        yield runs
+        rest = runs.pop()[1] if runs[-1][0] == 1 else 0
+        if not runs:
             return
-        parts[-1] -= 1
-        rest += 1
+        top, copies = runs.pop()
+        if copies > 1:
+            runs.append([top, copies - 1])
+        rest += top
+        top -= 1
+
+
+def _orbit_rows(weight: int) -> Iterator[tuple]:
+    """(label, dim_centralizer, *_classify) of each partition of weight >= 1
+    in partitions_of's order, read off its runs: a run of m parts v after r
+    parts adds v (m r + m (m-1)/2) to dim_centralizer = sum_i (i-1) p_i."""
+    for runs in _runs_of(weight, weight):
+        labels = []
+        codim = before = 0
+        for v, m in runs:
+            labels.append(",".join([str(v)] * m))
+            codim += v * (m * before + m * (m - 1) // 2)
+            before += m
+        yield (",".join(labels), codim, *_classify_runs(runs, weight))
 
 
 def _more_partitions_than(m: int, limit: int) -> bool:
@@ -265,34 +293,38 @@ def induced_orbit(levi_parts: Sequence[Partition], core: Partition) -> Partition
     return Partition(tuple(x for x in parts if x))
 
 
-def _split(parts: tuple[int, ...]) -> tuple[list[int], bool]:
-    """The odd parts, and whether they come first: the odd-block-first test.
-
-    The templates below read mu = ((odd parts - 1)/2, then even parts / 2),
-    which is weakly decreasing iff every odd part exceeds every even part,
-    i.e. iff the parts open with all the odd ones.
-    """
-    odds = [x for x in parts if x & 1]
-    return odds, parts[:len(odds)] == tuple(odds)
-
-
 def _classify(parts: tuple[int, ...]) -> tuple[bool, bool, bool, str, str | None]:
-    """(has_gaps, is_richardson, is_relevant_full, support flag, support name)
-    of a nonempty partition, from one odd/even split.
+    """_classify_runs of a nonempty partition given by its parts."""
+    return _classify_runs(_multiplicities(parts), sum(parts))
 
-    The flag and name are ft_support_info's for the trivial local system:
-    "full" and "g_1" when no part exceeds 2 (order two); for other Richardson
-    labels "proper" and "g_1^0" with one odd part, "g_1^i" with
-    i = (weight - #odd parts)/2 otherwise; "proper" and no name for other
-    gapped labels; "unknown" for the rest.
+
+def _classify_runs(runs, weight: int) -> tuple[bool, bool, bool, str, str | None]:
+    """(has_gaps, is_richardson, is_relevant_full, support flag, support name)
+    of a nonempty partition of weight, from its runs, largest value first.
+
+    No gaps means one run for each value 1..top.  Richardson means every odd
+    run comes before every even run: the templates read mu = (parts // 2),
+    which is weakly decreasing iff every odd part exceeds every even part.
+    Relevant means Richardson with one odd part.  The flag and name are
+    ft_support_info's for the trivial local system: "full" and "g_1" when no
+    part exceeds 2; for other Richardson labels "proper" and "g_1^0" with one
+    odd part, "g_1^i" with i = (weight - #odd parts)/2 otherwise; "proper"
+    and no name for other gapped labels; "unknown" for the rest.
     """
-    odds, richardson = _split(parts)
-    relevant = richardson and len(odds) == 1
-    gaps = len(set(parts)) != parts[0]  # no gaps: the values are all of 1..parts[0]
-    if parts[0] <= 2:
+    top = runs[0][0]
+    gaps = len(runs) != top
+    odds, seen_even, richardson = 0, False, True
+    for v, m in runs:
+        if v & 1:
+            odds += m
+            richardson = richardson and not seen_even
+        else:
+            seen_even = True
+    relevant = richardson and odds == 1
+    if top <= 2:
         return gaps, richardson, relevant, "full", "g_1"
     if richardson:
-        name = "g_1^0" if relevant else f"g_1^{(sum(parts) - len(odds)) // 2}"
+        name = "g_1^0" if relevant else f"g_1^{(weight - odds) // 2}"
         return gaps, True, relevant, "proper", name
     return gaps, False, False, "proper" if gaps else "unknown", None
 
@@ -315,8 +347,7 @@ def is_relevant_parabolic(p: Partition, i: int) -> bool:
     n = (p.weight - 1) // 2
     if not 1 <= i <= n - 1:
         raise ValueError(f"parabolic index must lie in [1, {n - 1}], got {i}")
-    odds, richardson = _split(p.parts)
-    return richardson and len(odds) == 2 * n - 2 * i + 1
+    return _classify(p.parts)[1] and sum(x & 1 for x in p.parts) == 2 * n - 2 * i + 1
 
 
 def is_richardson(p: Partition) -> bool:
@@ -328,11 +359,9 @@ def is_richardson(p: Partition) -> bool:
 
 def richardson_label(p: Partition) -> Partition:
     """Conjugate of the witness sequence mu; the local-system label of the transform."""
-    odds, richardson = _split(p.parts)
-    if p.weight % 2 == 0 or not richardson:
+    if p.weight % 2 == 0 or not _classify(p.parts)[1]:
         raise ValueError(f"{p.serialize() or '()'} is not a Richardson label")
-    mu = [(x - 1) // 2 for x in odds] + [x // 2 for x in p.parts[len(odds):]]
-    return conjugate(Partition(tuple(x for x in mu if x)))
+    return conjugate(Partition(tuple(x // 2 for x in p.parts if x > 1)))
 
 
 def branch_moves(p: Partition) -> list[BranchMove]:

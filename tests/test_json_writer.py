@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from springerq import cli
-from springerq._util import _BATCH, _pieces, write_json, write_lines
+from springerq._util import _BATCH, Records, _pieces, write_json, write_lines
 
 from test_cli import GOLDEN_CASES, run_cli
 
@@ -27,10 +27,22 @@ def written(doc) -> str:
     return "".join(pieces)
 
 
+class _Table:
+    """A drawn table that the writer is given as Records."""
+
+    def __init__(self, header, rows):
+        self.header, self.rows = header, rows
+
+    def __repr__(self):
+        return f"_Table({self.header!r}, {self.rows!r})"
+
+
 def _held(value):
-    """value as the writer renders it, for json.dumps: every iterator turned
-    into a list, and every int outside the signed 64-bit range into its
-    decimal string."""
+    """value as the writer renders it, for json.dumps: every drawn _Table
+    turned into a list of objects, every iterator into a list, and every int
+    outside the signed 64-bit range into its decimal string."""
+    if isinstance(value, _Table):
+        return [_held(dict(zip(value.header, row))) for row in value.rows]
     if isinstance(value, dict):
         return {k: _held(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, Iterator)):
@@ -142,6 +154,36 @@ def test_a_long_table_is_written_in_batches():
     assert "".join(chunks) == expected
 
 
+RECORD_CASES = {
+    "no rows": (["a", "b"], []),
+    "empty header": ([], [(), (1,), (1, 2)]),
+    "short and long rows": (["a", "b"], [(), (1,), (1, 2, 3)]),
+    "scalars": (["none", "t", "f", "big", "small"],
+                [(None, True, False, 2**64, -(2**63)), (None, False, True, -(3**99), 2**63 - 1)]),
+    "containers": (["list", "dict", "tuple"],
+                   [([1, [2, []]], {"x": {"y": [None]}, "": {}}, (2**70, "s")), ([], {}, ())]),
+    "nested records": (["k", "terms"], [(1, _Table(["j", "mult"], [(0, 2**65), (1, None)])),
+                                        (2, _Table(["j", "mult"], [])),
+                                        (3, _Table([], [(), ()]))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_records_are_written_as_their_objects(case):
+    table = _Table(*RECORD_CASES[case])
+    assert written(_live(table)) == json.dumps(_held(table), indent=2)
+    # inside a dict, an iterator, and a list or a tuple, which _text renders whole
+    for wrap in (lambda t: {"rows": t, "n": 1}, lambda t: [t, 1], lambda t: (1, t),
+                 lambda t: {"a": [{"rows": t}]}, lambda t: _Iter([t])):
+        assert written(_live(wrap(table))) == json.dumps(_held(wrap(table)), indent=2), case
+
+
+def test_records_iterate_as_header_value_objects():
+    rows = [(1, "a", None), (2,), ()]
+    assert list(Records(["k", "s", "x"], rows)) == [dict(zip(["k", "s", "x"], r)) for r in rows]
+    assert list(Records([], rows)) == [{}, {}, {}]
+
+
 @pytest.mark.parametrize("value", [1.5, float("nan"), object(), {1: "int key"}, b"bytes"])
 def test_writer_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
@@ -172,7 +214,10 @@ class _Iter(list):
 
 def _live(value):
     """The writer's copy of a drawn document: every _Iter becomes a fresh
-    iterator whose items are built as it is consumed."""
+    iterator whose items are built as it is consumed, and every _Table a
+    Records whose rows are."""
+    if isinstance(value, _Table):
+        return Records(value.header, (tuple(map(_live, row)) for row in value.rows))
     if isinstance(value, dict):
         return {k: _live(v) for k, v in value.items()}
     if isinstance(value, _Iter):
@@ -182,11 +227,14 @@ def _live(value):
     return value
 
 
-# iterators at any depth: inside dicts, lists and tuples, and inside iterators
+# iterators and Records at any depth: inside dicts, lists, tuples, iterators
+# and the rows of Records
 DOCS = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=6)
     | st.lists(inner, max_size=6).map(_Iter)
+    | st.builds(_Table, st.lists(st.text(max_size=3), unique=True, max_size=4),
+                st.lists(st.lists(inner, max_size=5), max_size=4))
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=5), inner, max_size=6),
     max_leaves=40,

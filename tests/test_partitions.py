@@ -25,6 +25,8 @@ from springerq.partitions import (
     is_richardson,
     _classify,
     _more_partitions_than,
+    _orbit_rows,
+    _runs_of,
     orbit_codim,
     orbit_dim,
     partitions_of,
@@ -98,6 +100,13 @@ def test_partition_validation():
     assert P((3, 2, 2)).weight == 7
 
 
+@pytest.mark.parametrize("parts", [(True,), (2, False), (2, True)])
+def test_bool_parts_are_rejected(parts):
+    # a bool is an int, but "2,True" would not parse back
+    with pytest.raises(ValueError, match="positive integers"):
+        P(parts)
+
+
 def test_serialize_parse_round_trip():
     for w in range(9):
         for p in all_partitions(w):
@@ -122,6 +131,29 @@ def test_partitions_of_matches_recursive_oracle():
             assert got == _recursive_partitions(n, max_part), (n, max_part)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         next(partitions_of(-1))
+
+
+def test_runs_are_well_formed_and_in_the_oracle_order():
+    for n in range(31):
+        every = _recursive_partitions(n)
+        for cap in range(-1, n + 2):
+            got = []
+            for runs in _runs_of(n, cap):
+                parts, above = [], n + 1
+                for v, m in runs:  # values strictly descending, multiplicities >= 1
+                    assert 0 < v < above and m >= 1, (n, cap, runs)
+                    parts += [v] * m
+                    above = v
+                assert sum(parts) == n, (n, cap, runs)
+                got.append(tuple(parts))
+            assert got == [p for p in every if not p or p[0] <= cap], (n, cap)
+
+
+def test_orbit_rows_match_the_partition_functions():
+    for weight in range(1, 32, 2):
+        expected = [(p.serialize(), dim_centralizer(p), *_classify(p.parts))
+                    for p in partitions_of(weight)]
+        assert list(_orbit_rows(weight)) == expected, weight
 
 
 def test_partitions_of_a_long_column_needs_no_recursion():
