@@ -76,7 +76,7 @@ def _output(args, doc, header, rows, pretty=None) -> None:
 
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
-# largest accepted table: orbits --n 22, p(45) = 89134 rows, 1.3 s and 37 MB as JSON (2-vCPU VM)
+# largest accepted table: orbits --n 22, p(45) = 89134 rows, 1.0 s and 38 MB as JSON (2-vCPU VM)
 MAX_ORBIT_ROWS = 100_000
 
 
@@ -93,8 +93,15 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
+# largest accepted rank: stalks --n 42 --check takes 3.1 s as JSON and 2.9 s
+# as pretty, 56-61 MB (2-vCPU VM); the solver grows about n^6.8 per rank
+MAX_STALKS_RANK = 42
+
+
 def _cmd_stalks(args) -> int:
     n = args.n
+    if n > MAX_STALKS_RANK:
+        raise ValueError(f"stalks: --n {n} > MAX_STALKS_RANK = {MAX_STALKS_RANK}")
     if args.check:
         _, failed = _first_failure(_suite_solver(n, first=n))
         if failed is not None:
@@ -117,8 +124,8 @@ def _cmd_stalks(args) -> int:
 
 # the cost of a fano table: each of its 2i(n-i)+1 rows costs its i+1 term
 # lookups plus about 4 more for writing its JSON object (on a 2-vCPU VM,
-# fano --n 120 --i 60 costs 468065 and takes about 0.7 s as JSON, fano --n
-# 41666 --i 1 costs 499986 and takes about 0.75 s)
+# fano --n 120 --i 60 costs 468065 and takes about 1.0 s as JSON, fano --n
+# 41666 --i 1 costs 499986 and takes about 1.4 s)
 MAX_FANO_COST = 500_000
 
 
@@ -152,8 +159,15 @@ def _cmd_kostka(args) -> int:
     return 0
 
 
+# largest accepted rank: euler --n 600 takes 2.5 s and 49 MB as JSON and
+# 2.9-3.1 s and 121 MB as pretty (2-vCPU VM); about n^3
+MAX_EULER_RANK = 600
+
+
 def _cmd_euler(args) -> int:
     n = args.n
+    if n > MAX_EULER_RANK:
+        raise ValueError(f"euler: --n {n} > MAX_EULER_RANK = {MAX_EULER_RANK}")
     header = ["i", "j", "trivial", "nontrivial"]
     rows = [(i, j, euler_chi_trivial(n, i, j),
              euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
@@ -162,7 +176,14 @@ def _cmd_euler(args) -> int:
     return 0
 
 
+# largest accepted rank: ft-table --n 1600 takes 3.1-3.7 s and 54 MB in
+# every format (2-vCPU VM); about n^2
+MAX_FT_TABLE_RANK = 1600
+
+
 def _cmd_ft_table(args) -> int:
+    if args.n > MAX_FT_TABLE_RANK:
+        raise ValueError(f"ft-table: --n {args.n} > MAX_FT_TABLE_RANK = {MAX_FT_TABLE_RANK}")
     header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
               "nontrivial_monodromy"]
     rows = [(r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
@@ -235,8 +256,14 @@ _SUITES = [
 ]
 
 
+# largest accepted rank: verify --n-max 34 takes 3.2 s and 33 MB (2-vCPU VM)
+MAX_VERIFY_RANK = 34
+
+
 def _cmd_verify(args) -> int:
     n_max = args.n_max
+    if n_max > MAX_VERIFY_RANK:
+        raise ValueError(f"verify: --n-max {n_max} > MAX_VERIFY_RANK = {MAX_VERIFY_RANK}")
     results = []
     for name, suite in _SUITES:
         cases, counterexample = _first_failure(suite(n_max))

@@ -1,6 +1,7 @@
 """CLI contract: stable output, schemas, exit codes, golden files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -212,6 +213,57 @@ def test_fano_refuses_exactly_the_tables_over_the_limit(monkeypatch, capsys):
     assert run_cli(["fano", "--n", "5", "--i", "2", "--format", "tsv"])[0] == 0  # 13 rows * 7
     assert run_cli(["fano", "--n", "6", "--i", "2", "--format", "tsv"]) == (2, "")  # 17 * 7
     assert "fano: --n 6 --i 2 costs 119 > MAX_FANO_COST = 91" in capsys.readouterr().err
+
+
+# (argv, the limit's name, the largest accepted value, a value that CI, the
+# tests or the benchmark use and that must stay accepted)
+RANK_LIMITS = [
+    (["stalks", "--check"], "--n", "MAX_STALKS_RANK", 24),
+    (["verify"], "--n-max", "MAX_VERIFY_RANK", 20),
+    (["euler"], "--n", "MAX_EULER_RANK", 67),
+    (["ft-table"], "--n", "MAX_FT_TABLE_RANK", 3),
+]
+
+
+@pytest.mark.parametrize("argv, flag, name, used", RANK_LIMITS, ids=[r[2] for r in RANK_LIMITS])
+@pytest.mark.parametrize("excess", [1, 10**12])
+def test_rank_limits_refuse_costly_input_with_exit_2(capsys, argv, flag, name, used, excess):
+    limit = getattr(cli, name)
+    assert limit >= used
+    started = time.perf_counter()
+    code, out = run_cli(argv + [flag, str(limit + excess), "--format", "json"])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    assert f"{argv[0]}: {flag} {limit + excess} > {name} = {limit}" in err
+
+
+@pytest.mark.parametrize("argv, flag, name, used", RANK_LIMITS, ids=[r[2] for r in RANK_LIMITS])
+def test_rank_limits_refuse_exactly_the_ranks_over_them(monkeypatch, argv, flag, name, used):
+    monkeypatch.setattr(cli, name, 2)
+    assert run_cli(argv + [flag, "2", "--format", "tsv"])[0] == 0
+    assert run_cli(argv + [flag, "3", "--format", "tsv"]) == (2, "")
+
+
+# sha256 of the stdout of each benchmark argv, as pinned in perfbench/run.py
+BENCHMARK_DIGESTS = {
+    "stalks --n 20 --check --format json":
+        "605223c1fd0b5f4bf9bf2e784c5fd97a65572bbbde28b273c59c8130f5b712c2",
+    "verify --n-max 13 --format json":
+        "d66173f38cdc20a9c6321f417e45f040b91e925d967fd063de2cf4b9922746a3",
+    "orbits --n 18 --format json":
+        "9afb885fc859939ed1946e757c3137f90eab50e9de463860a4d6a7bd651248a9",
+    "fano --n 50 --i 25 --format json":
+        "19c232e55e7c4706a08ebfb3e0c8fb1af52d81ee7b535b2a094c8d6a7ca0243f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_outputs_match_their_pinned_digests(argv):
+    code, out = run_cli(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_DIGESTS[argv]
 
 
 def test_verify_n_max_20_within_budget():

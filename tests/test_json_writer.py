@@ -4,6 +4,7 @@ The oracle is json.dumps after the writer's one rule: an int outside the
 signed 64-bit range is written as its decimal string.
 """
 
+import enum
 import io
 import json
 from collections.abc import Iterator
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from springerq import cli
-from springerq._util import _BATCH, Records, _pieces, write_json, write_lines
+from springerq import _util, cli
+from springerq._util import _BATCH, _ROWS_PER_BATCH, Records, _pieces, write_json, write_lines
 
 from test_cli import GOLDEN_CASES, run_cli
 
@@ -252,3 +253,130 @@ def test_writer_matches_json_dumps_on_generated_documents(doc):
 def test_writer_matches_json_dumps_on_generated_iterators(items):
     doc = {"rows": _Iter(items), "table": _Iter([_Iter(items), _Iter(items[1:])])}
     assert written(_live(doc)) == json.dumps(_held(doc), indent=2)
+
+
+# -- the batched path: tables of scalars across batch boundaries --------------
+
+B = _ROWS_PER_BATCH
+TABLE_SIZES = [B - 1, B, B + 1, 3 * B + 7]
+EDGE_INTS = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63,  # the 64-bit bounds
+             10**18, -(10**18), 9 * 10**18, -(9 * 10**18) - 7]  # 19 and 20 characters inside
+EDGE_STRS = ["\x00", "a\x00b", '"', '\\"', "[", "]", ",", "\x00,[", "9" * 40, "-" + "1" * 25,
+             "", "é\u2028"]
+
+
+class Colour(enum.IntEnum):
+    RED = 7
+
+
+class Label(str):
+    pass
+
+
+def edge_rows(size, width):
+    """size rows of width scalars, an edge int and an edge string in the first
+    and last row of every batch, and plain values elsewhere."""
+    rows = []
+    for r in range(size):
+        if r % B in (0, B - 1) or r == size - 1:
+            k = r // B + (r % B != 0)
+            row = [EDGE_INTS[(k + c) % len(EDGE_INTS)] if c % 2 == 0 else
+                   EDGE_STRS[(k + c) % len(EDGE_STRS)] for c in range(width)]
+        else:
+            row = [r, str(r), None, True, False, -r, "x" * (r % 30)][:width]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("size", TABLE_SIZES)
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_records_across_batches_match_json_dumps(size, width):
+    header = [f"k{c}" for c in range(width)]
+    rows = edge_rows(size, width)
+    expected = json.dumps(_held({"rows": _Table(header, rows)}), indent=2)
+    assert written({"rows": Records(header, map(tuple, rows))}) == expected
+    assert written({"rows": [Records(header, rows)]}) == json.dumps(
+        _held({"rows": [_Table(header, rows)]}), indent=2)
+
+
+@pytest.mark.parametrize("size", TABLE_SIZES)
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_arrays_of_equal_width_arrays_across_batches_match_json_dumps(size, width):
+    rows = edge_rows(size, width)
+    expected = json.dumps(_held({"pairs": [rows, rows]}), indent=2)
+    assert written({"pairs": [rows, [tuple(r) for r in rows]]}) == expected
+    assert written({"pairs": iter([rows, iter(rows)])}) == expected
+
+
+def test_arrays_of_unequal_or_mixed_items_match_json_dumps():
+    for rows in ([[1, 2]] * B + [[3]] + [[4, 5]] * B,
+                 [[1, 2]] * (B + 1) + [5, "x", None],
+                 [[1, [2]]] * (B + 3),
+                 [(1, {"a": 2})] * 3 + [[1, 2]] * (2 * B),
+                 [[]] * (B + 1) + [[1]] * B):
+        assert written({"a": rows}) == json.dumps(_held({"a": rows}), indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), object()])
+def test_a_bad_value_in_a_later_batch_still_raises_type_error(bad):
+    rows = [(k, str(k)) for k in range(2 * B + 5)]
+    rows[B + 3] = (bad, "x")
+    with pytest.raises(TypeError):
+        written({"rows": Records(["a", "b"], rows)})
+    with pytest.raises(TypeError):
+        written({"pairs": [list(r) for r in rows]})
+
+
+def test_int_and_str_subclasses_are_written_as_before():
+    header = ["c", "l", "k", "s"]
+    rows = [(Colour.RED, Label("lab\x00el"), k, "s") for k in range(B + 2)]
+    rows[-1] = (B, "s", Colour.RED, Label("9" * 20))
+    text = written({"rows": Records(header, rows)})
+    assert text == json.dumps({"rows": [dict(zip(header, r)) for r in rows]}, indent=2)
+    assert '"c": 7,' in text
+    assert written({"pairs": rows}) == json.dumps({"pairs": rows}, indent=2)
+
+
+def test_tables_of_scalars_go_to_the_c_encoder_a_batch_at_a_time(monkeypatch):
+    sizes = []
+    encode = _util._encode_flat
+    monkeypatch.setattr(_util, "_encode_flat",
+                        lambda flat, level: sizes.append(len(flat)) or encode(flat, level))
+    rows = edge_rows(3 * B + 7, 2)
+    written({"rows": Records(["a", "b"], rows), "pairs": rows, "short": rows[:3]})
+    assert sizes == [2 * B] * 3 + [14] + [2 * B] * 3 + [14]  # 6 values go value by value
+
+
+def test_rows_that_hold_tables_are_consumed_one_at_a_time():
+    drawn = []
+
+    def rows():
+        for k in range(3 * B):
+            drawn.append(k)
+            yield (k, Records(["j"], [(k,)]))
+
+    for count, piece in enumerate(_pieces(Records(["k", "t"], rows()), "\n")):
+        assert len(drawn) <= count + 1, "rows were gathered into a batch"
+    assert len(drawn) == 3 * B
+
+
+@pytest.mark.parametrize("size", TABLE_SIZES)
+def test_without_the_c_encoder_the_same_bytes_are_written(monkeypatch, size):
+    def doc():
+        return {"rows": Records(["a", "b", "c"], map(tuple, edge_rows(size, 3))),
+                "pairs": edge_rows(size, 2)}
+
+    batched = written(doc())
+    monkeypatch.setattr(_util, "_encode_flat", None)
+    assert written(doc()) == batched == json.dumps(
+        _held({"rows": _Table(["a", "b", "c"], edge_rows(size, 3)),
+               "pairs": edge_rows(size, 2)}), indent=2)
+
+
+@pytest.mark.parametrize("argv", [["orbits", "--n", "5"], ["stalks", "--n", "6"],
+                                  ["fano", "--n", "8", "--i", "4"], ["euler", "--n", "20"]],
+                         ids=" ".join)
+def test_each_command_writes_the_same_bytes_without_the_c_encoder(monkeypatch, argv):
+    batched = run_cli(argv + ["--format", "json"])
+    monkeypatch.setattr(_util, "_encode_flat", None)
+    assert run_cli(argv + ["--format", "json"]) == batched
