@@ -1,15 +1,12 @@
 """Small shared helpers, and the streaming JSON writer write_json.
 
-write_json encodes the rows of a table (each Records row, each item of a
-list or tuple of equal-width lists or tuples) whose values are all of exact
-type str, int, bool or None in batches of _ROWS_PER_BATCH rows, one call of
-the stdlib's C encoder per batch (_flat_text).  Any other value, a batch of
-fewer than _MIN_FLAT values, and everything where the C encoder is missing
-take the per-value path (_scalar, _text).  The one rule the writer adds to
-json.dumps, that an int outside the signed 64-bit range is written as its
-decimal string, lives in both: in _scalar, and in _flat_text, which applies
-it from the values of a batch in which an int text of 19 or more characters
-shows up.
+write_json writes what json.dumps(doc, indent=2) writes, with one rule
+added: an int outside the signed 64-bit range is written as its decimal
+string.  That rule lives in _int_text alone.  _pieces is the one walk over
+containers.  It hands each batch of up to _ROWS_PER_BATCH rows of values of
+exact type str, int, bool or None to _flat_text, which encodes the batch in
+one call of the stdlib's C encoder, and writes everything else value by
+value (_scalar); both write the same bytes.
 """
 
 import itertools
@@ -36,8 +33,9 @@ _encode_flat = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
     None, _refuse, _encode_str, None, ": ", "\x00", False, False, False)
 _FLAT_SCALARS = frozenset([str, int, bool, type(None)])
 _SEQUENCES = frozenset([list, tuple])
-# an int text of 19 or more characters may lie outside the 64-bit range; the
-# first text of a batch follows "[", and is an int if it is that long and unquoted
+# only an int text of 19 or more characters may lie outside the 64-bit range,
+# so _flat_text applies _int_text only where one shows up; the first text of a
+# batch follows "[", and is an int if it is that long and unquoted
 _LONG_TEXT = re.compile("\x00[-0-9]{19}")
 
 
@@ -62,12 +60,15 @@ def write_lines(lines, write) -> None:
         write("".join(pending))
 
 
-def _scalar(v):
-    """json.dumps text of a str, int, bool or None; None for anything else.
+def _int_text(v, text):
+    """text, the decimal text of the int v, as a JSON string if v lies outside
+    the signed 64-bit range [-2^63, 2^63), so that every reader gets it exactly."""
+    return text if -(2**63) <= v < 2**63 else f'"{text}"'
 
-    An int outside the signed 64-bit range [-2^63, 2^63) is written as its
-    decimal string, so that every reader gets it exactly.
-    """
+
+def _scalar(v):
+    """json.dumps text of a str, int, bool or None, with an int written by
+    _int_text; None for anything else."""
     if isinstance(v, str):
         return _encode_str(v)
     if v is True:
@@ -75,8 +76,7 @@ def _scalar(v):
     if v is False:
         return "false"
     if isinstance(v, int):
-        text = int.__repr__(v)
-        return text if -(2**63) <= v < 2**63 else f'"{text}"'
+        return _int_text(v, int.__repr__(v))
     if v is None:
         return "null"
     return None
@@ -111,9 +111,8 @@ def _flat_text(batch, heads, opening, closing):
         return None
     text = "".join(_encode_flat(flat, 0))[1:-1]
     texts = text.split("\x00")
-    if (len(texts[0]) > 18 and texts[0][0] != '"') or _LONG_TEXT.search(text):  # 64-bit rule
-        texts = [f'"{t}"' if type(v) is int and not -(2**63) <= v < 2**63 else t
-                 for t, v in zip(texts, flat)]
+    if (len(texts[0]) > 18 and texts[0][0] != '"') or _LONG_TEXT.search(text):
+        texts = [_int_text(v, t) if len(t) > 18 and type(v) is int else t for t, v in zip(texts, flat)]
     out = [closing + "," + opening + heads[0], None]
     for head in heads[1:]:
         out += ["," + head, None]
@@ -124,90 +123,60 @@ def _flat_text(batch, heads, opening, closing):
     return "".join(out)
 
 
-def _objects(records, indent):
-    """Yield the text of each row of records as a JSON object after indent,
-    joined by "," a batch of up to _ROWS_PER_BATCH rows at a time where
-    _flat_text takes the batch.  A batch starts only at a row of scalars;
-    from a row that holds anything else on, rows are written one at a time,
-    as they are consumed."""
-    inner = indent + "  "
-    heads = [f"{inner}{_encode_str(k)}: " for k in records.header]
-    rows = records.rows
-    for row in rows:
-        if type(row) in _SEQUENCES and _FLAT_SCALARS.issuperset(map(type, row)):
-            batch = [row, *itertools.islice(rows, _ROWS_PER_BATCH - 1)]
-            if len(batch) * len(heads) >= _MIN_FLAT and (
-                    text := _flat_text(batch, heads, indent + "{", indent + "}")) is not None:
-                yield text
-                continue
-        else:
-            batch = itertools.chain([row], rows)
-        for row in batch:
-            items = [h + (_scalar(v) or _text(v, inner)) for h, v in zip(heads, row)]
-            yield f"{indent}{{{','.join(items)}{indent}}}" if items else indent + "{}"
-
-
-def _items(values, indent):
-    """Yield the text of each item of a list or tuple after indent, joined by
-    "," a batch at a time where _flat_text takes the batch as rows as wide
-    as the first item."""
-    heads = [indent + "  "] * len(values[0])
-    for k in range(0, len(values), _ROWS_PER_BATCH):
-        batch = values[k:k + _ROWS_PER_BATCH]
-        if len(batch) * len(heads) >= _MIN_FLAT and (
-                text := _flat_text(batch, heads, indent + "[", indent + "]")) is not None:
-            yield text
-        else:
-            yield from (indent + (_scalar(v) or _text(v, indent)) for v in batch)
-
-
-def _text(value, indent) -> str:
-    """The whole text of a dict, list, tuple, Records or iterator; indent is
-    a newline and its spaces.  Anything else raises TypeError."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{_encode_str(k)}: {_scalar(v) or _text(v, inner)}"
-                 for k, v in value.items()]
-        brackets = "{}"
-    elif type(value) is Records:  # not isinstance: an ABC's check would slow every list
-        items, brackets = list(_objects(value, inner)), "[]"
-    elif type(value) in _SEQUENCES and value and type(value[0]) in _SEQUENCES:
-        items, brackets = list(_items(value, inner)), "[]"
-    elif isinstance(value, (list, tuple, Iterator)):
-        items, brackets = [inner + (_scalar(v) or _text(v, inner)) for v in value], "[]"
-    else:
-        _refuse(value)
-    return f"{brackets[0]}{','.join(items)}{indent}{brackets[1]}" if items else brackets
-
-
 def _pieces(value, indent):
-    """Yield the text of a dict, Records or iterator one item per piece (a
-    batch of rows per piece for Records), streaming an item that is an
-    iterator the same way, and of anything else whole."""
+    """Yield the text of value, whose lines after the first start with indent
+    (a newline and its spaces), in pieces; anything but a dict, list, tuple,
+    iterator, Records, str, int, bool or None raises TypeError.
+
+    A scalar is one piece.  A dict streams one item per piece.  An array (a
+    list, tuple, iterator or Records) streams one row per piece, or one batch
+    per piece while its rows are lists or tuples of scalars that _flat_text
+    takes; from the first row or batch that it does not take, one row per
+    piece.  Only an item that is itself an iterator is streamed, the same
+    way.  Every other item, and each value in a row of Records, is joined
+    whole, which costs far less for the many small tables nested in rows.
+    """
     inner = indent + "  "
-    if type(value) is Records:
-        sep = "["
-        for text in _objects(value, inner):
-            yield sep + text
-            sep = ","
-        yield indent + "]" if sep == "," else "[]"
-        return
     if isinstance(value, dict):
-        heads, items, brackets = (f"{inner}{_encode_str(k)}: " for k in value), value.values(), "{}"
-    elif isinstance(value, Iterator):
-        heads, items, brackets = itertools.repeat(inner), value, "[]"
+        items, sep, closing = zip((f"{inner}{_encode_str(k)}: " for k in value), value.values()), "{", "}"
+    elif type(value) is Records or type(value) in _SEQUENCES or isinstance(value, Iterator):
+        sep, closing = "[", "]"
+        if type(value) is Records:  # not isinstance: an ABC's check would slow every list
+            keys, rows, edges = [f"{inner}  {_encode_str(k)}: " for k in value.header], value.rows, "{}"
+        else:
+            keys, rows, edges = None, iter(value), "[]"
+        for row in rows:
+            batch = [row]
+            if type(row) in _SEQUENCES and _FLAT_SCALARS.issuperset(map(type, row)):
+                batch += itertools.islice(rows, _ROWS_PER_BATCH - 1)
+                heads = keys if keys is not None else [inner + "  "] * len(row)
+                if len(batch) * len(heads) >= _MIN_FLAT and (text := _flat_text(
+                        batch, heads, inner + edges[0], inner + edges[1])) is not None:
+                    yield sep + text
+                    sep = ","
+                    continue
+            rows = itertools.chain(batch, rows)
+            break
+        if keys is None:
+            items = zip(itertools.repeat(inner), rows)
+        else:  # each row one object, from the keys' texts
+            items = ()
+            for row in rows:
+                texts = [k + (_scalar(v) or "".join(_pieces(v, inner + "  "))) for k, v in zip(keys, row)]
+                yield f"{sep}{inner}{{{','.join(texts)}{inner}}}" if texts else sep + inner + "{}"
+                sep = ","
     else:
-        yield _scalar(value) or _text(value, indent)
+        yield _scalar(value) or _refuse(value)
         return
-    sep = brackets[0]
-    for head, item in zip(heads, items):
-        if isinstance(item, Iterator):
+    for head, item in items:
+        text = _scalar(item)
+        if text is None and isinstance(item, Iterator):
             yield sep + head
             yield from _pieces(item, inner)
         else:
-            yield sep + head + (_scalar(item) or _text(item, inner))
+            yield sep + head + (text or "".join(_pieces(item, inner)))
         sep = ","
-    yield indent + brackets[1] if sep == "," else brackets
+    yield indent + closing if sep == "," else sep + closing
 
 
 def write_json(doc, write) -> None:
@@ -217,8 +186,7 @@ def write_json(doc, write) -> None:
     doc is built of dicts with str keys, lists, tuples, str, int, bool and
     None; anything else, floats included, raises TypeError.  An iterator is
     written as an array as it is consumed, so a table never sits in memory
-    as objects or as text, as it would with the stdlib's indenting encoder.
-    Rows of scalars are encoded a batch at a time by the C encoder (_flat_text),
-    everything else value by value; both write the same bytes.
+    as objects or as text, as it would with the stdlib's indenting encoder;
+    _pieces says how the text is split.
     """
     write_lines(_pieces(doc, "\n"), write)

@@ -23,9 +23,9 @@ from .fano import _l_dims, _rows
 from ._util import Records, write_json, write_lines
 from .ic_engine import (
     GRADING_NOTE,
+    _ft_rows,
     closed_form_f,
     closed_form_t,
-    ft_table,
     solve_stalk_tables,
 )
 from .partitions import Partition, _more_partitions_than, _orbit_rows
@@ -123,15 +123,17 @@ def _cmd_stalks(args) -> int:
 
 
 # the cost of a fano table: each of its 2i(n-i)+1 rows costs its i+1 term
-# lookups plus about 4 more for writing its JSON object (on a 2-vCPU VM,
-# fano --n 120 --i 60 costs 468065 and takes about 1.0 s as JSON, fano --n
-# 41666 --i 1 costs 499986 and takes about 1.4 s)
+# lookups plus about 4 more for writing its JSON object, and each digit of
+# l_dims one more; C(2n+1, j) < (2n+1)^j and < 2^(2n+1) has at most
+# min(j * digits(2n+1), n) digits (on a 2-vCPU VM, fano --n 120 --i 60 costs
+# 475385 and takes about 1.0 s as JSON, fano --n 41666 --i 1 costs 499996 and
+# takes about 1.4 s, fano --n 706 --i 706 costs 499853 and takes about 0.2 s)
 MAX_FANO_COST = 500_000
 
 
 def _cmd_fano(args) -> int:
     n, i = args.n, args.i
-    cost = (2 * i * (n - i) + 1) * (i + 5)
+    cost = (2 * i * (n - i) + 1) * (i + 5) + (i + 1) * min(i * len(str(2 * n + 1)), n)
     if cost > MAX_FANO_COST:
         raise ValueError(f"fano: --n {n} --i {i} costs {cost} > MAX_FANO_COST = {MAX_FANO_COST}")
     l_dims = _l_dims(n, i)
@@ -159,9 +161,17 @@ def _cmd_kostka(args) -> int:
     return 0
 
 
-# largest accepted rank: euler --n 600 takes 2.5 s and 49 MB as JSON and
-# 2.9-3.1 s and 121 MB as pretty (2-vCPU VM); about n^3
+# largest accepted rank: euler --n 600 takes 2.1 s and 17 MB as JSON or tsv
+# and 3.1 s and 89 MB as pretty (2-vCPU VM); about n^3
 MAX_EULER_RANK = 600
+
+
+def _euler_rows(n):
+    """The row of each 0 <= j <= i <= n, made as it is consumed."""
+    for i in range(n + 1):
+        for j in range(i + 1):
+            yield (i, j, euler_chi_trivial(n, i, j),
+                   euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
 
 
 def _cmd_euler(args) -> int:
@@ -169,16 +179,19 @@ def _cmd_euler(args) -> int:
     if n > MAX_EULER_RANK:
         raise ValueError(f"euler: --n {n} > MAX_EULER_RANK = {MAX_EULER_RANK}")
     header = ["i", "j", "trivial", "nontrivial"]
-    rows = [(i, j, euler_chi_trivial(n, i, j),
-             euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
-            for i in range(n + 1) for j in range(i + 1)]
-    _output(args, {"n": n, "rows": Records(header, rows)}, header, rows)
+    _output(args, {"n": n, "rows": Records(header, _euler_rows(n))}, header, _euler_rows(n))
     return 0
 
 
-# largest accepted rank: ft-table --n 1600 takes 3.1-3.7 s and 54 MB in
-# every format (2-vCPU VM); about n^2
+# largest accepted rank: ft-table --n 1600 takes 2.5-2.7 s in every format,
+# 23 MB as JSON, 17 MB as tsv and 26 MB as pretty (2-vCPU VM); about n^2
 MAX_FT_TABLE_RANK = 1600
+
+
+def _ft_table_rows(n):
+    """The cells of each row of ic_engine.ft_table(n), made as they are consumed."""
+    return ((r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
+             r.nontrivial_target_dim, r.nontrivial_monodromy) for r in _ft_rows(n))
 
 
 def _cmd_ft_table(args) -> int:
@@ -186,10 +199,8 @@ def _cmd_ft_table(args) -> int:
         raise ValueError(f"ft-table: --n {args.n} > MAX_FT_TABLE_RANK = {MAX_FT_TABLE_RANK}")
     header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
               "nontrivial_monodromy"]
-    rows = [(r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
-             r.nontrivial_target_dim, r.nontrivial_monodromy)
-            for r in ft_table(args.n)]
-    _output(args, {"n": args.n, "rows": Records(header, rows)}, header, rows)
+    _output(args, {"n": args.n, "rows": Records(header, _ft_table_rows(args.n))}, header,
+            _ft_table_rows(args.n))
     return 0
 
 

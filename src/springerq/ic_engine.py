@@ -24,6 +24,7 @@ orbit dimensions in this family are even, so a is always an integer.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -222,26 +223,25 @@ def order_two_partition(n: int, i: int) -> Partition:
     return Partition((2,) * i + (1,) * (2 * n + 1 - 2 * i))
 
 
+def _ft_rows(n: int) -> Iterator[FourierTableRow]:
+    """The row of each i in [0, n], made as it is consumed."""
+    for i in range(n + 1):
+        yield FourierTableRow(
+            i=i,
+            orbit=OrbitLabel(n, order_two_partition(n, i)),
+            trivial_target_dim=binom(2 * n + 1, i),
+            nontrivial_target_dim=binom(2 * n, i) - binom(2 * n, i - 2) if i >= 1 else None,
+            nontrivial_monodromy="infinite-braid" if i >= 1 else None,
+        )
+
+
 def ft_table(n: int) -> tuple[FourierTableRow, ...]:
     """Rows i = 0..n of the Fourier-transform table.
 
     The dimensions satisfy trivial(i) = nontrivial(i) + trivial(i-1)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    rows = []
-    for i in range(n + 1):
-        orbit = OrbitLabel(n, order_two_partition(n, i))
-        nontriv = binom(2 * n, i) - binom(2 * n, i - 2) if i >= 1 else None
-        rows.append(
-            FourierTableRow(
-                i=i,
-                orbit=orbit,
-                trivial_target_dim=binom(2 * n + 1, i),
-                nontrivial_target_dim=nontriv,
-                nontrivial_monodromy="infinite-braid" if i >= 1 else None,
-            )
-        )
-    return tuple(rows)
+    return tuple(_ft_rows(n))
 
 
 @dataclass(frozen=True)

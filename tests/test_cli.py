@@ -208,11 +208,34 @@ def test_fano_refuses_costly_input_with_exit_2(capsys, n, i):
 
 
 def test_fano_refuses_exactly_the_tables_over_the_limit(monkeypatch, capsys):
-    assert cli.MAX_FANO_COST >= 1251 * 30  # fano --n 50 --i 25 is served
-    monkeypatch.setattr(cli, "MAX_FANO_COST", 91)
-    assert run_cli(["fano", "--n", "5", "--i", "2", "--format", "tsv"])[0] == 0  # 13 rows * 7
-    assert run_cli(["fano", "--n", "6", "--i", "2", "--format", "tsv"]) == (2, "")  # 17 * 7
-    assert "fano: --n 6 --i 2 costs 119 > MAX_FANO_COST = 91" in capsys.readouterr().err
+    assert cli.MAX_FANO_COST >= 1251 * 30 + 26 * 50  # fano --n 50 --i 25 is served
+    monkeypatch.setattr(cli, "MAX_FANO_COST", 103)
+    # 13 rows * 7, and 3 l_dims of at most 2 * 2 digits each
+    assert run_cli(["fano", "--n", "5", "--i", "2", "--format", "tsv"])[0] == 0
+    assert run_cli(["fano", "--n", "6", "--i", "2", "--format", "tsv"]) == (2, "")  # 17 * 7 + 3 * 4
+    assert "fano: --n 6 --i 2 costs 131 > MAX_FANO_COST = 103" in capsys.readouterr().err
+
+
+# fano --n N --i N has one row but i + 1 binomials C(2N+1, j) of up to N digits;
+# N = 706 is the largest such table served
+@pytest.mark.parametrize("n", ["707", "10000", str(10**12)])
+def test_fano_counts_the_digits_of_l_dims_in_its_cost(capsys, n):
+    started = time.perf_counter()
+    code, out = run_cli(["fano", "--n", n, "--i", n, "--format", "json"])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    assert f"fano: --n {n} --i {n} costs" in err and f"MAX_FANO_COST = {cli.MAX_FANO_COST}" in err
+
+
+def test_fano_at_top_index_writes_four_to_the_n_points_as_a_decimal_string():
+    assert run_cli(["fano", "--n", "706", "--i", "706", "--format", "tsv"])[0] == 0
+    code, out = run_cli(["fano", "--n", "40", "--i", "40", "--format", "json"])
+    assert code == 0
+    table = json.loads(out)
+    assert [row["betti"] for row in table["rows"]] == [str(4**40)]  # over 2^63
+    assert [int(d) for d in table["l_dims"]] == [math.comb(81, j) for j in range(41)]
 
 
 # (argv, the limit's name, the largest accepted value, a value that CI, the

@@ -48,6 +48,14 @@ def test_two_routes_agree():
             assert fano_betti_poly(n, i) == fano_betti_poly_from_multiplicities(n, i), (n, i)
 
 
+def test_planes_of_top_index_are_four_to_the_n_points():
+    # at i = n the variety of (n-1)-planes is finite: sum_{j <= n} C(2n+1, j) = 4^n points
+    for n in range(1, 201):
+        assert fano_betti_poly(n, n) == LaurentPoly({0: 4**n}), n
+    for n in range(1, 21):
+        assert fano_betti_poly_from_multiplicities(n, n) == LaurentPoly({0: 4**n}), n
+
+
 def test_table_betti_column_equals_betti_poly():
     # two computations: each row reads one coefficient of every T^i_j, while
     # fano_betti_poly sums the polynomials C(2n+1, j) T^i_j whole

@@ -173,7 +173,7 @@ RECORD_CASES = {
 def test_records_are_written_as_their_objects(case):
     table = _Table(*RECORD_CASES[case])
     assert written(_live(table)) == json.dumps(_held(table), indent=2)
-    # inside a dict, an iterator, and a list or a tuple, which _text renders whole
+    # inside a dict, an iterator, a list and a tuple, each streamed or joined whole
     for wrap in (lambda t: {"rows": t, "n": 1}, lambda t: [t, 1], lambda t: (1, t),
                  lambda t: {"a": [{"rows": t}]}, lambda t: _Iter([t])):
         assert written(_live(wrap(table))) == json.dumps(_held(wrap(table)), indent=2), case
