@@ -8,6 +8,10 @@ Laurent-polynomial coefficients are always decimal strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed by its reader (128 + SIGPIPE).
+
+Imports: only argparse, the stdlib and _util at the top.  Each command, and
+each verify suite, imports the computational modules it runs when it runs
+(after its own refusals), so --help and usage errors load no other module.
 """
 
 from __future__ import annotations
@@ -18,25 +22,8 @@ import operator
 import os
 import sys
 
-from . import qseries
-from .fano import _l_dims, _rows
 from ._util import Records, write_json, write_lines
-from .ic_engine import (
-    GRADING_NOTE,
-    _ft_rows,
-    closed_form_f,
-    closed_form_t,
-    solve_stalk_tables,
-)
-from .partitions import Partition, _more_partitions_than, _orbit_rows
-from .springer_typec import (
-    euler_chi_nontrivial,
-    euler_chi_trivial,
-    kostka,
-    kostka_order_two_closed_form,
-    verify_cc_identity,
-    verify_two_power_sum,
-)
+
 
 def _cell(v) -> str:
     """Text of one tsv or pretty cell: None is empty, bools read true/false."""
@@ -81,6 +68,7 @@ MAX_ORBIT_ROWS = 100_000
 
 
 def _cmd_orbits(args) -> int:
+    from .partitions import _more_partitions_than, _orbit_rows
     n = args.n
     if _more_partitions_than(2 * n + 1, MAX_ORBIT_ROWS):
         raise ValueError(f"orbits: --n {n} lists p({2 * n + 1}) > "
@@ -102,6 +90,7 @@ def _cmd_stalks(args) -> int:
     n = args.n
     if n > MAX_STALKS_RANK:
         raise ValueError(f"stalks: --n {n} > MAX_STALKS_RANK = {MAX_STALKS_RANK}")
+    from .ic_engine import GRADING_NOTE, solve_stalk_tables
     if args.check:
         _, failed = _first_failure(_suite_solver(n, first=n))
         if failed is not None:
@@ -136,6 +125,7 @@ def _cmd_fano(args) -> int:
     cost = (2 * i * (n - i) + 1) * (i + 5) + (i + 1) * min(i * len(str(2 * n + 1)), n)
     if cost > MAX_FANO_COST:
         raise ValueError(f"fano: --n {n} --i {i} costs {cost} > MAX_FANO_COST = {MAX_FANO_COST}")
+    from .fano import _l_dims, _rows
     l_dims = _l_dims(n, i)
     doc = {
         "n": n,
@@ -153,6 +143,8 @@ def _cmd_fano(args) -> int:
 
 
 def _cmd_kostka(args) -> int:
+    from .partitions import Partition
+    from .springer_typec import kostka
     shape = Partition.parse(args.shape)
     weight = Partition.parse(args.weight)
     value = kostka(shape, weight)
@@ -168,6 +160,7 @@ MAX_EULER_RANK = 600
 
 def _euler_rows(n):
     """The row of each 0 <= j <= i <= n, made as it is consumed."""
+    from .springer_typec import euler_chi_nontrivial, euler_chi_trivial
     for i in range(n + 1):
         for j in range(i + 1):
             yield (i, j, euler_chi_trivial(n, i, j),
@@ -183,13 +176,14 @@ def _cmd_euler(args) -> int:
     return 0
 
 
-# largest accepted rank: ft-table --n 1600 takes 2.5-2.7 s in every format,
-# 23 MB as JSON, 17 MB as tsv and 26 MB as pretty (2-vCPU VM); about n^2
+# largest accepted rank: ft-table --n 1600 takes 1.6-1.9 s in every format,
+# 22 MB as JSON, 17 MB as tsv and 26 MB as pretty (2-vCPU VM); about n^2
 MAX_FT_TABLE_RANK = 1600
 
 
 def _ft_table_rows(n):
     """The cells of each row of ic_engine.ft_table(n), made as they are consumed."""
+    from .ic_engine import _ft_rows
     return ((r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
              r.nontrivial_target_dim, r.nontrivial_monodromy) for r in _ft_rows(n))
 
@@ -220,12 +214,14 @@ def _first_failure(cases):
 
 
 def _suite_poincare(n_max):
+    from .qseries import verify_sum_identity
     for n in range(1, n_max + 1):
         for i in range(n + 1):
-            yield f"n={n} i={i}", qseries.verify_sum_identity(n, i)
+            yield f"n={n} i={i}", verify_sum_identity(n, i)
 
 
 def _suite_solver(n_max, first=1):
+    from .ic_engine import closed_form_f, closed_form_t, solve_stalk_tables
     for n in range(first, n_max + 1):
         stalks, mult = solve_stalk_tables(n)
         for i in range(n + 1):
@@ -236,6 +232,8 @@ def _suite_solver(n_max, first=1):
 
 
 def _suite_kostka(n_max):
+    from .partitions import Partition
+    from .springer_typec import kostka, kostka_order_two_closed_form
     for n in range(1, n_max + 1):
         for i in range(n // 2 + 1):
             for j0 in range(i + 1):
@@ -246,12 +244,14 @@ def _suite_kostka(n_max):
 
 
 def _suite_cc(n_max):
+    from .springer_typec import verify_cc_identity
     for n in range(2, n_max + 1):
         for i in range(2, n + 1, 2):
             yield f"n={n} i={i}", verify_cc_identity(n, i)
 
 
 def _suite_two_power(n_max):
+    from .springer_typec import verify_two_power_sum
     for n in range(1, n_max + 1):
         for j in range(n + 1):
             yield f"n={n} j={j}", verify_two_power_sum(n, j)

@@ -220,7 +220,7 @@ def order_two_partition(n: int, i: int) -> Partition:
     """The partition 2^i 1^(2n+1-2i)."""
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    return Partition((2,) * i + (1,) * (2 * n + 1 - 2 * i))
+    return Partition._trusted((2,) * i + (1,) * (2 * n + 1 - 2 * i))
 
 
 def _ft_rows(n: int) -> Iterator[FourierTableRow]:

@@ -12,8 +12,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from springerq import cli
+from springerq import cli, ic_engine, springer_typec
 from springerq.cli import main
 from springerq.springer_typec import MAX_KOSTKA_COST
 
@@ -320,9 +322,9 @@ def test_verify_passes_and_orders_suites_by_name():
 
 
 def test_stalks_check_reports_the_first_mismatch(monkeypatch, capsys):
-    closed_form_t = cli.closed_form_t
+    closed_form_t = ic_engine.closed_form_t
     monkeypatch.setattr(
-        cli, "closed_form_t",
+        ic_engine, "closed_form_t",
         lambda n, i, j: closed_form_t(n, i, j).shift(1 if (i, j) == (2, 1) else 0),
     )
     code, out = run_cli(["stalks", "--n", "3", "--check", "--format", "json"])
@@ -334,7 +336,7 @@ def test_stalks_check_reports_the_first_mismatch(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
 def test_verify_failure_names_the_counterexample(monkeypatch, fmt):
-    monkeypatch.setattr(cli, "verify_cc_identity", lambda n, i: (n, i) != (3, 2))
+    monkeypatch.setattr(springer_typec, "verify_cc_identity", lambda n, i: (n, i) != (3, 2))
     code, out = run_cli(["verify", "--n-max", "3", "--format", fmt])
     assert code == 1
     if fmt == "pretty":
@@ -402,3 +404,46 @@ def test_a_reader_that_closes_the_pipe_ends_the_command_quietly_with_141(fmt):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+# -- fuzz of main(argv) ----------------------------------------------------------
+# ints every command serves quickly, and ints every command refuses at once
+FUZZ_INTS = st.one_of(st.integers(1, 5).map(str),
+                      st.sampled_from(["0", "-1", str(10**6), str(10**30), "9" * 5000, "abc"]))
+FUZZ_PARTITIONS = st.sampled_from(["", "2,1", "1,2", "0", "x", "100000", "1,1,1", "3", "2,,1",
+                                   "-1", "9" * 5000])
+FUZZ_FORMATS = st.sampled_from(["pretty", "json", "tsv", "xml"])
+FUZZ_FLAGS = {
+    "orbits": [("--n", FUZZ_INTS)],
+    "stalks": [("--n", FUZZ_INTS), ("--check", st.just(None))],
+    "fano": [("--n", FUZZ_INTS), ("--i", FUZZ_INTS)],
+    "kostka": [("--shape", FUZZ_PARTITIONS), ("--weight", FUZZ_PARTITIONS)],
+    "euler": [("--n", FUZZ_INTS)],
+    "ft-table": [("--n", FUZZ_INTS)],
+    "verify": [("--n-max", FUZZ_INTS)],
+}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values in FUZZ_FLAGS[command] + [("--format", FUZZ_FORMATS)]:
+        if draw(st.integers(0, 4)):  # a flag is left out only when 0 is drawn
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argvs())
+def test_main_returns_0_or_1_or_exits_2_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -317,6 +317,16 @@ def test_order_two_partition():
         order_two_partition(2, 3)
 
 
+def test_order_two_partition_equals_the_validated_partition():
+    for n in range(31):
+        for i in range(n + 1):
+            p = order_two_partition(n, i)
+            assert p == P([2] * i + [1] * (2 * n + 1 - 2 * i)), (n, i)
+        for i in (-1, n + 1):
+            with pytest.raises(ValueError, match="need 0 <= i <= n"):
+                order_two_partition(n, i)
+
+
 def test_ft_table_small():
     rows = ft_table(2)
     assert [r.trivial_target_dim for r in rows] == [1, 5, 10]

@@ -1,0 +1,136 @@
+"""Start-up: the package loads a module on first use, and each subcommand
+loads only the modules it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import springerq
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# every name the package exports, by its home module; the five modules are
+# exported too, so `from springerq import *` binds 60 names
+EXPORTS = {
+    "partitions": [
+        "Partition", "OrbitLabel", "BranchMove", "ROW_REMOVAL", "ROW_SPLIT", "partitions_of",
+        "conjugate", "dominance_leq", "closure_contains", "dim_centralizer", "orbit_codim",
+        "orbit_dim", "has_gaps", "induced_orbit", "is_relevant_full", "is_relevant_parabolic",
+        "is_richardson", "richardson_label", "branch_moves", "resolution_fiber_dim",
+    ],
+    "qseries": [
+        "LaurentPoly", "gaussian_binomial", "og_poincare", "quadric_betti",
+        "verify_sum_identity", "eval_at_one",
+    ],
+    "ic_engine": [
+        "StalkTable", "MultiplicityTable", "FourierTableRow", "SupportInfo",
+        "solve_stalk_tables", "closed_form_f", "closed_form_t", "ic_stalk_poly",
+        "fake_degree_poly", "ft_table", "ft_support_flag", "ft_support_info",
+        "order_two_partition",
+    ],
+    "springer_typec": [
+        "Bipartition", "kostka", "kostka_order_two_closed_form", "standard_tableaux_count",
+        "springer_label", "bipartition_dim", "euler_chi_trivial", "euler_chi_nontrivial",
+        "verify_cc_identity", "verify_two_power_sum",
+    ],
+    "fano": [
+        "FanoRow", "FanoCohomology", "fano_multiplicities", "fano_betti_poly",
+        "fano_betti_poly_from_multiplicities", "fano_lines_table",
+    ],
+}
+ALL = set(EXPORTS) | {name for names in EXPORTS.values() for name in names}
+
+
+@pytest.fixture
+def package(monkeypatch):
+    """springerq with no export cached, so that each access goes through the
+    package's __getattr__; the cache is restored afterwards."""
+    for name in ALL:
+        monkeypatch.delitem(vars(springerq), name, raising=False)
+    return springerq
+
+
+def test_every_export_is_the_object_of_its_home_module(package):
+    assert len(ALL) == 60
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"springerq.{module}")
+        assert getattr(package, module) is home
+        for name in names:
+            assert getattr(package, name) is getattr(home, name), name
+    assert ALL <= set(vars(package))  # each one is cached after its first access
+
+
+def test_star_import_binds_the_60_exports(package):
+    namespace = {}
+    exec("from springerq import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == ALL
+    assert all(namespace[name] is getattr(springerq, name) for name in ALL)
+
+
+def test_dir_lists_every_export():
+    assert ALL | {"__version__"} <= set(dir(springerq))
+    assert set(springerq.__all__) == ALL and len(springerq.__all__) == 60
+
+
+def test_an_unknown_attribute_raises_attribute_error(package):
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        package.nosuch
+    assert not hasattr(package, "Partitions")
+    with pytest.raises(ImportError):
+        exec("from springerq import nosuch", {})
+
+
+# Each probe runs in a fresh interpreter and writes, at exit, the sorted
+# springerq modules in sys.modules as the last line of stderr.
+_AT_EXIT = ("import atexit, json, sys\n"
+            "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(\n"
+            "    m for m in sys.modules if m.split('.')[0] == 'springerq')) + '\\n'))\n")
+RUNNERS = {
+    "python -m springerq": _AT_EXIT + "import runpy\n"
+                          "runpy.run_module('springerq', run_name='__main__', alter_sys=True)\n",
+    "springerq.cli:main": _AT_EXIT + "from springerq.cli import main\nsys.exit(main())\n",
+}
+FRONT = {"springerq", "springerq.cli", "springerq._util"}
+
+
+def loaded_modules(code, *argv):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_module():
+    code = _AT_EXIT + "import springerq\n"
+    assert loaded_modules(code) == (0, {"springerq"})
+    code = _AT_EXIT + "import springerq\nspringerq.kostka\n"
+    assert loaded_modules(code) == (0, {"springerq", "springerq._util", "springerq.partitions",
+                                        "springerq.qseries", "springerq.springer_typec"})
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("argv", [["--help"], ["orbits", "--n", "0"], ["stalks", "--n", "43"]],
+                         ids=" ".join)
+def test_help_and_usage_errors_load_only_the_front_end(runner, argv):
+    code, modules = loaded_modules(RUNNERS[runner], *argv)
+    assert (code, modules) == (0 if argv == ["--help"] else 2, FRONT)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_orbits_loads_only_partitions(runner):
+    assert loaded_modules(RUNNERS[runner], "orbits", "--n", "2") == (
+        0, FRONT | {"springerq.partitions"})
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_stalks_loads_neither_springer_typec_nor_fano(runner):
+    code, modules = loaded_modules(RUNNERS[runner], "stalks", "--n", "2")
+    assert code == 0 and "springerq.ic_engine" in modules
+    assert not modules & {"springerq.springer_typec", "springerq.fano"}
