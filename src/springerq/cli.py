@@ -12,15 +12,16 @@ closed by its reader (128 + SIGPIPE).
 Imports: only argparse, the stdlib and _util at the top.  Each command, and
 each verify suite, imports the computational modules it runs when it runs
 (after its own refusals), so --help and usage errors load no other module.
+main refuses a rank over its command's limit before the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import operator
 import os
 import sys
+from operator import itemgetter
 
 from ._util import Records, write_json, write_lines
 
@@ -63,20 +64,14 @@ def _output(args, doc, header, rows, pretty=None) -> None:
 
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
-# largest accepted table: orbits --n 22, p(45) = 89134 rows, 1.0 s and 38 MB as JSON (2-vCPU VM)
-MAX_ORBIT_ROWS = 100_000
+# orbits --n 22 lists p(45) = 89134 rows (1.0 s, 38 MB as JSON, 2-vCPU VM); p(47) = 124754
+MAX_ORBITS_RANK = 22
 
 
 def _cmd_orbits(args) -> int:
-    from .partitions import _more_partitions_than, _orbit_rows
-    n = args.n
-    if _more_partitions_than(2 * n + 1, MAX_ORBIT_ROWS):
-        raise ValueError(f"orbits: --n {n} lists p({2 * n + 1}) > "
-                         f"MAX_ORBIT_ROWS = {MAX_ORBIT_ROWS} rows")
-    top = n * (2 * n + 1)
-    rows = [(label, top - codim, codim, *rest) for label, codim, *rest in _orbit_rows(2 * n + 1)]
-    rows.sort(key=operator.itemgetter(2))  # stable: _orbit_rows yields largest first
-    _output(args, {"n": n, "count": len(rows), "rows": Records(_ORBIT_FIELDS, rows)},
+    from .partitions import _orbit_rows
+    rows = sorted(_orbit_rows(2 * args.n + 1), key=itemgetter(2))  # stable: ties stay largest first
+    _output(args, {"n": args.n, "count": len(rows), "rows": Records(_ORBIT_FIELDS, rows)},
             _ORBIT_FIELDS, rows)
     return 0
 
@@ -88,8 +83,6 @@ MAX_STALKS_RANK = 42
 
 def _cmd_stalks(args) -> int:
     n = args.n
-    if n > MAX_STALKS_RANK:
-        raise ValueError(f"stalks: --n {n} > MAX_STALKS_RANK = {MAX_STALKS_RANK}")
     from .ic_engine import GRADING_NOTE, solve_stalk_tables
     if args.check:
         _, failed = _first_failure(_suite_solver(n, first=n))
@@ -127,6 +120,7 @@ def _cmd_fano(args) -> int:
         raise ValueError(f"fano: --n {n} --i {i} costs {cost} > MAX_FANO_COST = {MAX_FANO_COST}")
     from .fano import _l_dims, _rows
     l_dims = _l_dims(n, i)
+    rows = _rows(n, i, l_dims)  # consumed by one format only
     doc = {
         "n": n,
         "i": i,
@@ -134,11 +128,10 @@ def _cmd_fano(args) -> int:
         "l_dims": l_dims,
         "rows": Records(["k", "degree", "terms", "betti"],
                         ((row.k, 2 * row.k, Records(["j", "mult"], row.terms), row.betti)
-                         for row in _rows(n, i, l_dims))),
+                         for row in rows)),
     }
-    rows = ([row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
-            for row in _rows(n, i, l_dims))
-    _output(args, doc, ["k", "degree", "betti", "terms"], rows)
+    _output(args, doc, ["k", "degree", "betti", "terms"], ([row.k, 2 * row.k, row.betti,
+            ";".join(f"{j}:{m}" for j, m in row.terms)] for row in rows))
     return 0
 
 
@@ -158,21 +151,14 @@ def _cmd_kostka(args) -> int:
 MAX_EULER_RANK = 600
 
 
-def _euler_rows(n):
-    """The row of each 0 <= j <= i <= n, made as it is consumed."""
-    from .springer_typec import euler_chi_nontrivial, euler_chi_trivial
-    for i in range(n + 1):
-        for j in range(i + 1):
-            yield (i, j, euler_chi_trivial(n, i, j),
-                   euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
-
-
 def _cmd_euler(args) -> int:
+    from .springer_typec import euler_chi_nontrivial, euler_chi_trivial
     n = args.n
-    if n > MAX_EULER_RANK:
-        raise ValueError(f"euler: --n {n} > MAX_EULER_RANK = {MAX_EULER_RANK}")
     header = ["i", "j", "trivial", "nontrivial"]
-    _output(args, {"n": n, "rows": Records(header, _euler_rows(n))}, header, _euler_rows(n))
+    rows = ((i, j, euler_chi_trivial(n, i, j),  # consumed by one format only
+             euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
+            for i in range(n + 1) for j in range(i + 1))
+    _output(args, {"n": n, "rows": Records(header, rows)}, header, rows)
     return 0
 
 
@@ -181,20 +167,14 @@ def _cmd_euler(args) -> int:
 MAX_FT_TABLE_RANK = 1600
 
 
-def _ft_table_rows(n):
-    """The cells of each row of ic_engine.ft_table(n), made as they are consumed."""
-    from .ic_engine import _ft_rows
-    return ((r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
-             r.nontrivial_target_dim, r.nontrivial_monodromy) for r in _ft_rows(n))
-
-
 def _cmd_ft_table(args) -> int:
-    if args.n > MAX_FT_TABLE_RANK:
-        raise ValueError(f"ft-table: --n {args.n} > MAX_FT_TABLE_RANK = {MAX_FT_TABLE_RANK}")
+    from .ic_engine import _ft_rows
     header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
               "nontrivial_monodromy"]
-    _output(args, {"n": args.n, "rows": Records(header, _ft_table_rows(args.n))}, header,
-            _ft_table_rows(args.n))
+    rows = ((r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
+             r.nontrivial_target_dim, r.nontrivial_monodromy)  # consumed by one format only
+            for r in _ft_rows(args.n))
+    _output(args, {"n": args.n, "rows": Records(header, rows)}, header, rows)
     return 0
 
 
@@ -273,8 +253,6 @@ MAX_VERIFY_RANK = 34
 
 def _cmd_verify(args) -> int:
     n_max = args.n_max
-    if n_max > MAX_VERIFY_RANK:
-        raise ValueError(f"verify: --n-max {n_max} > MAX_VERIFY_RANK = {MAX_VERIFY_RANK}")
     results = []
     for name, suite in _SUITES:
         cases, counterexample = _first_failure(suite(n_max))
@@ -311,20 +289,25 @@ def _positive_int(text: str) -> int:
 _POSITIVE = dict(type=_positive_int, required=True)
 _N = [("--n", _POSITIVE)]
 
-# (name, help, function, flags); every subcommand also takes --format
+# (name, help, function, flags, rank limit); every subcommand also takes
+# --format.  A rank limit (flag, name of its constant in this module) is
+# checked by main before the command runs; fano and kostka check their cost.
 _COMMANDS = [
-    ("orbits", "orbit table for rank n", _cmd_orbits, _N),
+    ("orbits", "orbit table for rank n", _cmd_orbits, _N, ("--n", "MAX_ORBITS_RANK")),
     ("stalks", "stalk polynomials f_i and multiplicities T^i_j", _cmd_stalks,
      _N + [("--check", dict(action="store_true",
-                            help="cross-validate against the closed forms"))]),
+                            help="cross-validate against the closed forms"))],
+     ("--n", "MAX_STALKS_RANK")),
     ("fano", "cohomology table of the variety of (i-1)-planes", _cmd_fano,
-     _N + [("--i", _POSITIVE)]),
+     _N + [("--i", _POSITIVE)], None),
     ("kostka", "Kostka number for a shape and content", _cmd_kostka,
-     [("--shape", dict(required=True)), ("--weight", dict(required=True))]),
-    ("euler", "local Euler characteristics of the order-two family", _cmd_euler, _N),
-    ("ft-table", "Fourier-transform classification of the order-two family", _cmd_ft_table, _N),
+     [("--shape", dict(required=True)), ("--weight", dict(required=True))], None),
+    ("euler", "local Euler characteristics of the order-two family", _cmd_euler, _N,
+     ("--n", "MAX_EULER_RANK")),
+    ("ft-table", "Fourier-transform classification of the order-two family", _cmd_ft_table, _N,
+     ("--n", "MAX_FT_TABLE_RANK")),
     ("verify", "run every identity suite up to a rank bound", _cmd_verify,
-     [("--n-max", _POSITIVE)]),
+     [("--n-max", _POSITIVE)], ("--n-max", "MAX_VERIFY_RANK")),
 ]
 
 
@@ -334,14 +317,19 @@ def main(argv=None) -> int:
         description="Exact orbit, stalk, Euler-characteristic and Fano tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, run, flags in _COMMANDS:
+    for name, help_text, run, flags, limit in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag, spec in flags:
             p.add_argument(flag, **spec)
         p.add_argument("--format", choices=["pretty", "json", "tsv"], default="pretty")
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, limit=limit)
     args = parser.parse_args(argv)
     try:
+        if args.limit:  # the constant is read now, so that a test can set it
+            flag, name = args.limit
+            value, bound = getattr(args, flag[2:].replace("-", "_")), globals()[name]
+            if value > bound:
+                raise ValueError(f"{args.command}: {flag} {value} > {name} = {bound}")
         return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))

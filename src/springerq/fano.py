@@ -56,10 +56,12 @@ def _l_dims(n: int, i: int) -> tuple[int, ...]:
 
 
 def _rows(n: int, i: int, l_dims: tuple[int, ...]) -> Iterator[FanoRow]:
-    """The row of each k in [0, 2i(n-i)], made as it is consumed."""
-    t = [closed_form_t(n, i, j) for j in range(i + 1)]
-    for k in range(2 * i * (n - i) + 1):
-        terms = tuple((j, m) for j, tj in enumerate(t) if (m := tj[k - i * (n - i)]) > 0)
+    """The row of each k in [0, 2h], h = i(n-i), made as it is consumed; the
+    M_i(k, j) of row k are the q^(k-h) coefficients of the T^i_j."""
+    h = i * (n - i)
+    columns = [closed_form_t(n, i, j).coefficients(-h, h + 1) for j in range(i + 1)]
+    for k, ms in enumerate(zip(*columns)):
+        terms = tuple((j, m) for j, m in enumerate(ms) if m > 0)
         yield FanoRow(k, terms, sum(l_dims[j] * m for j, m in terms))
 
 

@@ -192,9 +192,11 @@ def _runs_of(n: int, cap: int) -> Iterator[list[list[int]]]:
 
 
 def _orbit_rows(weight: int) -> Iterator[tuple]:
-    """(label, dim_centralizer, *_classify) of each partition of weight >= 1
-    in partitions_of's order, read off its runs: a run of m parts v after r
-    parts adds v (m r + m (m-1)/2) to dim_centralizer = sum_i (i-1) p_i."""
+    """The orbits table row (label, dim, codim, *_classify) of each partition
+    of an odd weight = 2n+1 in partitions_of's order, read off its runs: a
+    run of m parts v after r parts adds v (m r + m (m-1)/2) to the codim
+    dim_centralizer = sum_i (i-1) p_i, and dim = n(2n+1) - codim."""
+    top = weight * (weight - 1) // 2
     for runs in _runs_of(weight, weight):
         labels = []
         codim = before = 0
@@ -202,28 +204,7 @@ def _orbit_rows(weight: int) -> Iterator[tuple]:
             labels.append(",".join([str(v)] * m))
             codim += v * (m * before + m * (m - 1) // 2)
             before += m
-        yield (",".join(labels), codim, *_classify_runs(runs, weight))
-
-
-def _more_partitions_than(m: int, limit: int) -> bool:
-    """p(m) > limit, for m >= 0, by Euler's pentagonal-number recurrence
-
-        p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)).
-
-    p never decreases, so the count stops at the first p(k) over the limit:
-    a huge m costs no more than that k, O(k^1.5) additions.
-    """
-    p = [1]
-    for k in range(1, m + 1):
-        total, j = 0, 1
-        while (g := j * (3 * j - 1) // 2) <= k:
-            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
-            total += term if j % 2 else -term
-            j += 1
-        if total > limit:
-            return True
-        p.append(total)
-    return p[-1] > limit
+        yield (",".join(labels), top - codim, codim, *_classify_runs(runs, weight))
 
 
 def conjugate(p: Partition) -> Partition:

@@ -73,7 +73,7 @@ class LaurentPoly:
       O(n (m + 1)) for a divisor of span m.
     """
 
-    __slots__ = ("_lo", "_c", "_hash", "_norms")
+    __slots__ = ("_lo", "_c", "_norms")
 
     def __init__(self, coeffs: PairsOrMap = ()):
         data: dict[int, int] = {}
@@ -89,7 +89,6 @@ class LaurentPoly:
             dense[e - lo] = data[e]
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_c", tuple(dense))
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_norms", None)
 
     @classmethod
@@ -247,11 +246,7 @@ class LaurentPoly:
         return self._lo == other._lo and self._c == other._c
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(tuple(self.to_pairs()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self._lo, self._c))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_pairs()!r})"
@@ -280,7 +275,6 @@ def _new(lo: int, c: tuple[int, ...]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     object.__setattr__(p, "_lo", lo)
     object.__setattr__(p, "_c", c)
-    object.__setattr__(p, "_hash", None)
     object.__setattr__(p, "_norms", None)
     return p
 

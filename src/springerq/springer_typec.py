@@ -12,7 +12,6 @@ from itertools import accumulate, compress
 from math import factorial, prod
 
 from .partitions import Partition, conjugate
-from .qseries import eval_at_one, og_poincare
 from ._util import binom
 
 __all__ = [
@@ -176,9 +175,10 @@ def verify_two_power_sum(n: int, j: int) -> bool:
     which is the same power of two (the fiber of the top resolution has Euler
     characteristic (n-1) * 2^(n-j)).
     """
+    from .qseries import og_poincare  # only here, so kostka and euler never load qseries
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
     total = sum(euler_chi_trivial(n, i, j) for i in range(j, n + 1))
     if total != 2 ** (n - j):
         return False
-    return eval_at_one(og_poincare(n - j, n - j)) == 2 ** (n - j)
+    return og_poincare(n - j, n - j).eval_at_one() == 2 ** (n - j)

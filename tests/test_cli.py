@@ -179,25 +179,6 @@ def test_kostka_refuses_costly_input_with_exit_2(capsys):
     assert str(MAX_KOSTKA_COST) in err
 
 
-@pytest.mark.parametrize("n", ["40", str(10**12)])
-def test_orbits_refuses_costly_input_with_exit_2(capsys, n):
-    started = time.perf_counter()
-    code, out = run_cli(["orbits", "--n", n, "--format", "json"])
-    assert time.perf_counter() - started < 1.0
-    err = capsys.readouterr().err
-    assert (code, out) == (2, "")
-    assert "error:" in err and "Traceback" not in err
-    assert f"MAX_ORBIT_ROWS = {cli.MAX_ORBIT_ROWS}" in err
-
-
-def test_orbits_refuses_exactly_the_tables_over_the_limit(monkeypatch, capsys):
-    assert cli.MAX_ORBIT_ROWS >= 21637  # p(37): orbits --n 18 is served
-    monkeypatch.setattr(cli, "MAX_ORBIT_ROWS", 15)
-    assert run_cli(["orbits", "--n", "3", "--format", "tsv"])[0] == 0  # p(7) = 15 rows
-    assert run_cli(["orbits", "--n", "4", "--format", "tsv"]) == (2, "")  # p(9) = 30 rows
-    assert "orbits: --n 4 lists p(9) > MAX_ORBIT_ROWS = 15 rows" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("n, i", [("200", "100"), (str(10**12), "5"), (str(10**12), str(10**12))])
 def test_fano_refuses_costly_input_with_exit_2(capsys, n, i):
     started = time.perf_counter()
@@ -243,6 +224,7 @@ def test_fano_at_top_index_writes_four_to_the_n_points_as_a_decimal_string():
 # (argv, the limit's name, the largest accepted value, a value that CI, the
 # tests or the benchmark use and that must stay accepted)
 RANK_LIMITS = [
+    (["orbits"], "--n", "MAX_ORBITS_RANK", 18),
     (["stalks", "--check"], "--n", "MAX_STALKS_RANK", 24),
     (["verify"], "--n-max", "MAX_VERIFY_RANK", 20),
     (["euler"], "--n", "MAX_EULER_RANK", 67),
@@ -269,6 +251,15 @@ def test_rank_limits_refuse_exactly_the_ranks_over_them(monkeypatch, argv, flag,
     monkeypatch.setattr(cli, name, 2)
     assert run_cli(argv + [flag, "2", "--format", "tsv"])[0] == 0
     assert run_cli(argv + [flag, "3", "--format", "tsv"]) == (2, "")
+
+
+def test_orbits_rank_limit_serves_exactly_the_tables_of_at_most_100000_rows():
+    p = [1] + [0] * 60  # p[m] partitions of m, counted by adding parts of each size in turn
+    for part in range(1, len(p)):
+        for m in range(part, len(p)):
+            p[m] += p[m - part]
+    assert (p[37], p[45], p[47]) == (21637, 89134, 124754)
+    assert cli.MAX_ORBITS_RANK == max(n for n in range(30) if p[2 * n + 1] <= 100_000)
 
 
 # sha256 of the stdout of each benchmark argv, as pinned in perfbench/run.py

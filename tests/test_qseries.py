@@ -80,6 +80,17 @@ def test_from_coeffs_trims_and_checks_types():
         LaurentPoly.from_coeffs(0.5, [1])
 
 
+@settings(max_examples=100)
+@given(polys, polys)
+def test_equal_polynomials_have_equal_hashes_however_built(a, b):
+    lo = a.min_exp - 2 if a else 0
+    for p in (LaurentPoly(a.to_pairs()), LaurentPoly.from_coeffs(lo, a.coefficients(lo, lo + 20)),
+              (a + b) - b, a * ONE, a.shift(3).shift(-3)):
+        assert p == a and hash(p) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert {hash(a - a), hash(LaurentPoly()), hash(LaurentPoly.from_coeffs(5, [0, 0]))} == {hash(ZERO)}
+
+
 def test_pow():
     assert (ONE + Q) ** 2 == LaurentPoly({0: 1, 1: 2, 2: 1})
     assert Q**0 == ONE

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import springerq
+from springerq import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -112,12 +113,16 @@ def test_importing_the_package_loads_no_module():
     assert loaded_modules(code) == (0, {"springerq"})
     code = _AT_EXIT + "import springerq\nspringerq.kostka\n"
     assert loaded_modules(code) == (0, {"springerq", "springerq._util", "springerq.partitions",
-                                        "springerq.qseries", "springerq.springer_typec"})
+                                        "springerq.springer_typec"})
+
+
+# --help, a bad flag value and the limit + 1 of every rank-limited command
+USAGE_ERRORS = [["--help"], ["orbits", "--n", "0"]] + [
+    [name, limit[0], str(getattr(cli, limit[1]) + 1)] for name, *_, limit in cli._COMMANDS if limit]
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-@pytest.mark.parametrize("argv", [["--help"], ["orbits", "--n", "0"], ["stalks", "--n", "43"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
 def test_help_and_usage_errors_load_only_the_front_end(runner, argv):
     code, modules = loaded_modules(RUNNERS[runner], *argv)
     assert (code, modules) == (0 if argv == ["--help"] else 2, FRONT)
