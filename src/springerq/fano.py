@@ -11,10 +11,10 @@ numbers, used for cross-checking.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .qseries import LaurentPoly
 from .ic_engine import closed_form_t, solve_stalk_tables
+from ._record import Record, _set
 from ._util import binom
 
 __all__ = [
@@ -27,25 +27,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FanoRow:
-    """Multiplicities in H^(2k): the (j, M_i(k,j)) with M > 0, plus the Betti number."""
+class FanoRow(Record):
+    """Multiplicities in H^(2k): the pairs (j, M_i(k,j)) with M > 0 in terms,
+    plus the Betti number."""
 
-    k: int
-    terms: tuple[tuple[int, int], ...]
-    betti: int
+    __slots__ = ("k", "terms", "betti")
+
+    def __init__(self, k: int, terms: tuple[tuple[int, int], ...], betti: int):
+        # written out, as Record's generic __init__ is about 1.6x slower: one is built per row
+        _set(self, "k", k)
+        _set(self, "terms", terms)
+        _set(self, "betti", betti)
 
 
-@dataclass(frozen=True)
-class FanoCohomology:
+class FanoCohomology(Record):
     """Full even-cohomology table of the variety of (i-1)-planes, complex
-    dimension 2i(n-i); l_dims[j] = dim L_j = C(2n+1, j)."""
+    dimension 2i(n-i): a tuple of FanoRow for k = 0..2i(n-i), and
+    l_dims[j] = dim L_j = C(2n+1, j)."""
 
-    rank: int
-    planes_index: int
-    complex_dim: int
-    rows: tuple[FanoRow, ...]
-    l_dims: tuple[int, ...]
+    __slots__ = ("rank", "planes_index", "complex_dim", "rows", "l_dims")
 
 
 def _l_dims(n: int, i: int) -> tuple[int, ...]:

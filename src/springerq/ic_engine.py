@@ -19,18 +19,19 @@ fake degrees, and the Fourier-transform classification table.
 Grading convention: exponent a records dim H^{2a} in the absolute grading
 where the on-orbit stalk of an IC sheaf sits at a = -(dim orbit)/2.  All
 orbit dimensions in this family are even, so a is always an integer.
+
+Each function imports the sibling modules it uses (qseries, partitions)
+when it runs, so the solver never loads partitions and the Fourier table
+never loads qseries.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
 
-from .partitions import OrbitLabel, Partition, _classify
-from .qseries import LaurentPoly, ONE, ZERO, gaussian_binomial, og_poincare, sum_of_products
+from ._record import Record
 from ._util import binom
 
 __all__ = [
@@ -55,18 +56,17 @@ GRADING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class StalkTable:
-    """Origin stalk polynomials f_0..f_n for one rank.
+class StalkTable(Record):
+    """Origin stalk polynomials f_0..f_n for one rank: f is a tuple of LaurentPoly.
 
     f_0 = 1 and every f_i with i >= 1 is supported in strictly negative
     exponents, inside [-i(2n-i+1)/2, -1].
     """
 
-    rank: int
-    f: tuple[LaurentPoly, ...]
+    __slots__ = ("rank", "f")
 
     def __post_init__(self):
+        from .qseries import ONE
         if len(self.f) != self.rank + 1:
             raise ValueError("need exactly rank+1 stalk polynomials")
         if self.f[0] != ONE:
@@ -76,18 +76,18 @@ class StalkTable:
                 raise ValueError(f"f_{i} must be supported in negative exponents")
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Symmetric multiplicity polynomials T^i_j, 1 <= i <= rank, 0 <= j <= i.
 
-    entries is a read-only view of a private copy: solved tables are memoized
-    and shared across ranks, so no caller may change them.
+    entries, a mapping (i, j) -> LaurentPoly, is kept as a read-only view of
+    a private copy: solved tables are memoized and shared across ranks, so no
+    caller may change them.
     """
 
-    rank: int
-    entries: Mapping[tuple[int, int], LaurentPoly]
+    __slots__ = ("rank", "entries")
 
     def __post_init__(self):
+        from .qseries import ONE
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for (i, j), poly in self.entries.items():
             if not poly.is_symmetric() or not poly.nonneg_coeffs():
@@ -124,6 +124,7 @@ def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
 
 @functools.cache
 def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
+    from .qseries import ONE, og_poincare, sum_of_products
     f: list[LaurentPoly] = [ONE]
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for i in range(1, n + 1):
@@ -149,6 +150,7 @@ def _peel_symmetric(residue: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     over the span.  A negative coefficient at q^k, k > 0, or at q^0 would be
     a negative multiplicity and raises RuntimeError("inconsistent recursion").
     """
+    from .qseries import LaurentPoly, ZERO
     top = residue.max_exp if not residue.is_zero else -1
     if top < 0:
         return ZERO, residue
@@ -161,6 +163,7 @@ def _peel_symmetric(residue: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
 
 def closed_form_f(n: int, i: int) -> LaurentPoly:
     """f_i(q) = q^(-i(2n-i+1)/2) g_{[i/2],n}(q^2)."""
+    from .qseries import gaussian_binomial
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     return gaussian_binomial(i // 2, n).subs_power(2).shift(-i * (2 * n - i + 1) // 2)
@@ -168,6 +171,7 @@ def closed_form_f(n: int, i: int) -> LaurentPoly:
 
 def closed_form_t(n: int, i: int, j: int) -> LaurentPoly:
     """T^i_j(q) = q^(-(i-j)(n-i)) g_{i-j,2n-i-j}(q); symmetric by palindromicity."""
+    from .qseries import gaussian_binomial
     if not 0 <= j <= i <= n:
         raise ValueError(f"need 0 <= j <= i <= n, got n={n}, i={i}, j={j}")
     return gaussian_binomial(i - j, 2 * n - i - j).shift(-(i - j) * (n - i))
@@ -185,6 +189,7 @@ def ic_stalk_poly(n: int, i: int, j: int) -> LaurentPoly:
         raise ValueError(f"need 0 <= j <= i <= n, got n={n}, i={i}, j={j}")
     s_j = j * (2 * n + 1 - j)
     if i == j:
+        from .qseries import ONE
         return ONE.shift(-s_j // 2)
     f = solve_stalk_tables(n - j)[0].f[i - j]
     return f.shift(-s_j // 2)
@@ -198,26 +203,24 @@ def fake_degree_poly(n: int, i: int) -> LaurentPoly:
     return closed_form_f(n, i).shift(n * n)
 
 
-@dataclass(frozen=True)
-class FourierTableRow:
-    """One row of the Fourier-transform classification for order-two orbits.
+class FourierTableRow(Record):
+    """One row of the Fourier-transform classification for order-two orbits:
+    row i of the orbit (an OrbitLabel) 2^i 1^(2n+1-2i).
 
     The trivial local system transforms to a local system of dimension
     C(2n+1, i) with finite (Tits-group) monodromy; the nontrivial one (absent
-    for i = 0) to a local system of dimension C(2n, i) - C(2n, i-2) with
-    infinite braid-group monodromy.
+    for i = 0, where its dimension and monodromy are None) to a local system
+    of dimension C(2n, i) - C(2n, i-2) with infinite braid-group monodromy.
     """
 
-    i: int
-    orbit: OrbitLabel
-    trivial_target_dim: int
-    nontrivial_target_dim: Optional[int]
-    trivial_monodromy: str = "finite-tits"
-    nontrivial_monodromy: Optional[str] = None
+    __slots__ = ("i", "orbit", "trivial_target_dim", "nontrivial_target_dim",
+                 "trivial_monodromy", "nontrivial_monodromy")
+    _defaults = {"trivial_monodromy": "finite-tits", "nontrivial_monodromy": None}
 
 
 def order_two_partition(n: int, i: int) -> Partition:
     """The partition 2^i 1^(2n+1-2i)."""
+    from .partitions import Partition
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     return Partition._trusted((2,) * i + (1,) * (2 * n + 1 - 2 * i))
@@ -225,6 +228,7 @@ def order_two_partition(n: int, i: int) -> Partition:
 
 def _ft_rows(n: int) -> Iterator[FourierTableRow]:
     """The row of each i in [0, n], made as it is consumed."""
+    from .partitions import OrbitLabel
     for i in range(n + 1):
         yield FourierTableRow(
             i=i,
@@ -244,20 +248,18 @@ def ft_table(n: int) -> tuple[FourierTableRow, ...]:
     return tuple(_ft_rows(n))
 
 
-@dataclass(frozen=True)
-class SupportInfo:
+class SupportInfo(Record):
     """Support classification of a Fourier transform.
 
-    flag is "full", "proper" or "unknown".  For Richardson labels the target
-    support is named: "g_1^0" for the single-odd-part template, "g_1^i" with
-    i = (2n+1 - #odd parts)/2 otherwise; general_template marks the latter,
-    whose label map is taken to be the same conjugation as in the
-    single-odd-part case.
+    flag is "full", "proper" or "unknown", and support_name is None unless
+    the target support is named.  For Richardson labels it is: "g_1^0" for
+    the single-odd-part template, "g_1^i" with i = (2n+1 - #odd parts)/2
+    otherwise; general_template marks the latter, whose label map is taken
+    to be the same conjugation as in the single-odd-part case.
     """
 
-    flag: str
-    support_name: Optional[str] = None
-    general_template: bool = False
+    __slots__ = ("flag", "support_name", "general_template")
+    _defaults = {"support_name": None, "general_template": False}
 
 
 def ft_support_info(o: OrbitLabel, local_system: str = "trivial") -> SupportInfo:
@@ -276,6 +278,7 @@ def ft_support_info(o: OrbitLabel, local_system: str = "trivial") -> SupportInfo
                 f"orbit {o.partition.serialize()} carries no nontrivial equivariant local system"
             )
         return SupportInfo("full", support_name="g_1")
+    from .partitions import _classify
     _, richardson, relevant, flag, name = _classify(parts)
     general = flag == "proper" and richardson and not relevant  # g_1^i with i > 0
     return SupportInfo(flag, name, general_template=general)

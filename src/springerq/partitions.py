@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+
+from ._record import Record
 
 __all__ = [
     "Partition",
@@ -124,12 +125,10 @@ class Partition:
         return cls(parts)
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    """A nilpotent orbit for rank n: a partition of N = 2n+1."""
+class OrbitLabel(Record):
+    """A nilpotent orbit for rank n (an int): a Partition of N = 2n+1."""
 
-    rank: int
-    partition: Partition
+    __slots__ = ("rank", "partition")
 
     def __post_init__(self):
         if self.rank < 0:
@@ -141,17 +140,15 @@ class OrbitLabel:
             )
 
 
-@dataclass(frozen=True)
-class BranchMove:
+class BranchMove(Record):
     """One step of the fiber branching: the orbit of x on V_1^perp / V_1.
 
+    target is a Partition and case_tag ROW_REMOVAL or ROW_SPLIT; the int
     codim_delta is the exact drop in orbit codimension, so
     orbit_codim(source) = orbit_codim(target) + codim_delta.
     """
 
-    target: Partition
-    case_tag: str
-    codim_delta: int
+    __slots__ = ("target", "case_tag", "codim_delta")
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -24,7 +24,7 @@ import itertools
 import operator
 import sys
 from array import array
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "LaurentPoly",
@@ -39,8 +39,6 @@ __all__ = [
     "verify_sum_identity",
     "eval_at_one",
 ]
-
-PairsOrMap = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 # Signed machine integer types by size, for Kronecker slots of 1 to 8 bytes.
 _SLOT_TYPES = {array(t).itemsize: t for t in "bhiq"}
@@ -75,7 +73,7 @@ class LaurentPoly:
 
     __slots__ = ("_lo", "_c", "_norms")
 
-    def __init__(self, coeffs: PairsOrMap = ()):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         data: dict[int, int] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for e, c in items:

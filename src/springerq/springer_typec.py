@@ -7,11 +7,11 @@ local Euler characteristics of the order-two IC sheaves on sp(2n) are plain
 binomial expressions, anchored by Kostka numbers counted by Pieri's rule.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import factorial, prod
 
 from .partitions import Partition, conjugate
+from ._record import Record
 from ._util import binom
 
 __all__ = [
@@ -31,12 +31,10 @@ __all__ = [
 MAX_KOSTKA_COST = 2 * 10**7  # kostka's work limit, in row scans; see kostka
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """An ordered pair of partitions; labels a type-C Weyl group irreducible."""
+class Bipartition(Record):
+    """An ordered pair (alpha, beta) of Partitions; labels a type-C Weyl group irreducible."""
 
-    alpha: Partition
-    beta: Partition
+    __slots__ = ("alpha", "beta")
 
     @property
     def n(self) -> int:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from springerq.ic_engine import (
     MultiplicityTable,
-    OrbitLabel,
     StalkTable,
     closed_form_f,
     closed_form_t,
@@ -19,7 +18,7 @@ from springerq.ic_engine import (
     _peel_symmetric,
     solve_stalk_tables,
 )
-from springerq.partitions import Partition
+from springerq.partitions import OrbitLabel, Partition
 from springerq.qseries import LaurentPoly, ONE, ZERO, og_poincare
 
 P = Partition

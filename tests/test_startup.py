@@ -87,11 +87,11 @@ def test_an_unknown_attribute_raises_attribute_error(package):
         exec("from springerq import nosuch", {})
 
 
-# Each probe runs in a fresh interpreter and writes, at exit, the sorted
-# springerq modules in sys.modules as the last line of stderr.
+# Each probe runs in a fresh interpreter without site (python -S, whose
+# preloads could hide an import) and writes, at exit, the sorted names in
+# sys.modules as the last line of stderr.
 _AT_EXIT = ("import atexit, json, sys\n"
-            "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(\n"
-            "    m for m in sys.modules if m.split('.')[0] == 'springerq')) + '\\n'))\n")
+            "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules)) + '\\n'))\n")
 RUNNERS = {
     "python -m springerq": _AT_EXIT + "import runpy\n"
                           "runpy.run_module('springerq', run_name='__main__', alter_sys=True)\n",
@@ -100,20 +100,27 @@ RUNNERS = {
 FRONT = {"springerq", "springerq.cli", "springerq._util"}
 
 
-def loaded_modules(code, *argv):
+def all_modules(code, *argv):
+    """(exit code, every module in sys.modules at exit) of code run with argv."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def loaded_modules(code, *argv):
+    """(exit code, the springerq modules in sys.modules at exit)."""
+    returncode, modules = all_modules(code, *argv)
+    return returncode, {m for m in modules if m.split(".")[0] == "springerq"}
 
 
 def test_importing_the_package_loads_no_module():
     code = _AT_EXIT + "import springerq\n"
     assert loaded_modules(code) == (0, {"springerq"})
     code = _AT_EXIT + "import springerq\nspringerq.kostka\n"
-    assert loaded_modules(code) == (0, {"springerq", "springerq._util", "springerq.partitions",
-                                        "springerq.springer_typec"})
+    assert loaded_modules(code) == (0, {"springerq", "springerq._record", "springerq._util",
+                                        "springerq.partitions", "springerq.springer_typec"})
 
 
 # --help, a bad flag value and the limit + 1 of every rank-limited command
@@ -131,7 +138,7 @@ def test_help_and_usage_errors_load_only_the_front_end(runner, argv):
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_orbits_loads_only_partitions(runner):
     assert loaded_modules(RUNNERS[runner], "orbits", "--n", "2") == (
-        0, FRONT | {"springerq.partitions"})
+        0, FRONT | {"springerq._record", "springerq.partitions"})
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
@@ -139,3 +146,42 @@ def test_stalks_loads_neither_springer_typec_nor_fano(runner):
     code, modules = loaded_modules(RUNNERS[runner], "stalks", "--n", "2")
     assert code == 0 and "springerq.ic_engine" in modules
     assert not modules & {"springerq.springer_typec", "springerq.fano"}
+
+
+# stdlib modules that no command needs: dataclasses alone loads inspect, ast,
+# dis and tokenize, and they cost every run that has no bytecode cache
+HEAVY = {"dataclasses", "inspect", "typing"}
+# the four benchmark commands at small sizes
+BENCHMARK_ARGVS = [["stalks", "--n", "2", "--check"], ["verify", "--n-max", "2"],
+                   ["orbits", "--n", "2"], ["fano", "--n", "3", "--i", "2"]]
+
+
+@pytest.fixture(scope="module")
+def heavy_in_help():
+    """The HEAVY modules that --help loads: argparse's own, not the package's
+    (none on Python 3.10-3.13)."""
+    return all_modules(RUNNERS["python -m springerq"], "--help")[1] & HEAVY
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS, ids=" ".join)
+def test_benchmark_commands_load_no_dataclasses_inspect_or_typing(argv, heavy_in_help):
+    code, modules = all_modules(RUNNERS["python -m springerq"], *argv)
+    assert code == 0 and "springerq.cli" in modules
+    assert modules & HEAVY <= heavy_in_help
+
+
+SOLVER = FRONT | {"springerq._record", "springerq.ic_engine", "springerq.qseries"}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("argv", [["stalks", "--n", "2"], ["stalks", "--n", "2", "--check"],
+                                  ["fano", "--n", "3", "--i", "2"]], ids=" ".join)
+def test_stalks_and_fano_load_no_partitions(runner, argv):
+    expected = SOLVER | ({"springerq.fano"} if argv[0] == "fano" else set())
+    assert loaded_modules(RUNNERS[runner], *argv) == (0, expected)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_ft_table_loads_no_qseries(runner):
+    assert loaded_modules(RUNNERS[runner], "ft-table", "--n", "2") == (
+        0, FRONT | {"springerq._record", "springerq.ic_engine", "springerq.partitions"})
