@@ -17,12 +17,12 @@ _EXPORTS = {
     "partitions": """Partition OrbitLabel BranchMove ROW_REMOVAL ROW_SPLIT partitions_of
         conjugate dominance_leq closure_contains dim_centralizer orbit_codim orbit_dim
         has_gaps induced_orbit is_relevant_full is_relevant_parabolic is_richardson
-        richardson_label branch_moves resolution_fiber_dim""",
+        richardson_label branch_moves resolution_fiber_dim SupportInfo ft_support_info
+        ft_support_flag FourierTableRow order_two_partition ft_table""",
     "qseries": """LaurentPoly gaussian_binomial og_poincare quadric_betti
         verify_sum_identity eval_at_one""",
-    "ic_engine": """StalkTable MultiplicityTable FourierTableRow SupportInfo
-        solve_stalk_tables closed_form_f closed_form_t ic_stalk_poly fake_degree_poly
-        ft_table ft_support_flag ft_support_info order_two_partition""",
+    "ic_engine": """StalkTable MultiplicityTable solve_stalk_tables closed_form_f
+        closed_form_t ic_stalk_poly fake_degree_poly""",
     "springer_typec": """Bipartition kostka kostka_order_two_closed_form
         standard_tableaux_count springer_label bipartition_dim euler_chi_trivial
         euler_chi_nontrivial verify_cc_identity verify_two_power_sum""",

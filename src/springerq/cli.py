@@ -168,7 +168,7 @@ MAX_FT_TABLE_RANK = 1600
 
 
 def _cmd_ft_table(args) -> int:
-    from .ic_engine import _ft_rows
+    from .partitions import _ft_rows
     header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
               "nontrivial_monodromy"]
     rows = ((r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,

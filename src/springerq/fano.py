@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 from .qseries import LaurentPoly
 from .ic_engine import closed_form_t, solve_stalk_tables
-from ._record import Record, _set
+from ._record import Record
 from ._util import binom
 
 __all__ = [
@@ -32,12 +32,6 @@ class FanoRow(Record):
     plus the Betti number."""
 
     __slots__ = ("k", "terms", "betti")
-
-    def __init__(self, k: int, terms: tuple[tuple[int, int], ...], betti: int):
-        # written out, as Record's generic __init__ is about 1.6x slower: one is built per row
-        _set(self, "k", k)
-        _set(self, "terms", terms)
-        _set(self, "betti", betti)
 
 
 class FanoCohomology(Record):

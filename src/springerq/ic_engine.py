@@ -13,40 +13,31 @@ with f_0 = 1 and T^i_i = 1.  The T^i_j with j >= 1 reduce across ranks,
 (T^i_j at rank n) = (T^{i-j}_0 at rank n-j), which makes the system above
 triangular: peeling the symmetric part of the residue yields T^i_0 and the
 strictly negative remainder is f_i.  This module implements that solver, the
-closed forms it must agree with, stalk polynomials at arbitrary base orbits,
-fake degrees, and the Fourier-transform classification table.
+closed forms it must agree with, stalk polynomials at arbitrary base orbits
+and fake degrees.  The Fourier-transform classification of these orbits is
+orbit combinatorics and lives in partitions.
 
 Grading convention: exponent a records dim H^{2a} in the absolute grading
 where the on-orbit stalk of an IC sheaf sits at a = -(dim orbit)/2.  All
 orbit dimensions in this family are even, so a is always an integer.
-
-Each function imports the sibling modules it uses (qseries, partitions)
-when it runs, so the solver never loads partitions and the Fourier table
-never loads qseries.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from types import MappingProxyType
 
 from ._record import Record
-from ._util import binom
+from .qseries import ONE, ZERO, LaurentPoly, gaussian_binomial, og_poincare, sum_of_products
 
 __all__ = [
     "StalkTable",
     "MultiplicityTable",
-    "FourierTableRow",
-    "SupportInfo",
     "solve_stalk_tables",
     "closed_form_f",
     "closed_form_t",
     "ic_stalk_poly",
     "fake_degree_poly",
-    "ft_table",
-    "ft_support_flag",
-    "ft_support_info",
     "GRADING_NOTE",
 ]
 
@@ -66,7 +57,6 @@ class StalkTable(Record):
     __slots__ = ("rank", "f")
 
     def __post_init__(self):
-        from .qseries import ONE
         if len(self.f) != self.rank + 1:
             raise ValueError("need exactly rank+1 stalk polynomials")
         if self.f[0] != ONE:
@@ -87,7 +77,6 @@ class MultiplicityTable(Record):
     __slots__ = ("rank", "entries")
 
     def __post_init__(self):
-        from .qseries import ONE
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for (i, j), poly in self.entries.items():
             if not poly.is_symmetric() or not poly.nonneg_coeffs():
@@ -124,7 +113,6 @@ def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
 
 @functools.cache
 def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
-    from .qseries import ONE, og_poincare, sum_of_products
     f: list[LaurentPoly] = [ONE]
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for i in range(1, n + 1):
@@ -150,7 +138,6 @@ def _peel_symmetric(residue: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     over the span.  A negative coefficient at q^k, k > 0, or at q^0 would be
     a negative multiplicity and raises RuntimeError("inconsistent recursion").
     """
-    from .qseries import LaurentPoly, ZERO
     top = residue.max_exp if not residue.is_zero else -1
     if top < 0:
         return ZERO, residue
@@ -163,7 +150,6 @@ def _peel_symmetric(residue: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
 
 def closed_form_f(n: int, i: int) -> LaurentPoly:
     """f_i(q) = q^(-i(2n-i+1)/2) g_{[i/2],n}(q^2)."""
-    from .qseries import gaussian_binomial
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     return gaussian_binomial(i // 2, n).subs_power(2).shift(-i * (2 * n - i + 1) // 2)
@@ -171,7 +157,6 @@ def closed_form_f(n: int, i: int) -> LaurentPoly:
 
 def closed_form_t(n: int, i: int, j: int) -> LaurentPoly:
     """T^i_j(q) = q^(-(i-j)(n-i)) g_{i-j,2n-i-j}(q); symmetric by palindromicity."""
-    from .qseries import gaussian_binomial
     if not 0 <= j <= i <= n:
         raise ValueError(f"need 0 <= j <= i <= n, got n={n}, i={i}, j={j}")
     return gaussian_binomial(i - j, 2 * n - i - j).shift(-(i - j) * (n - i))
@@ -189,7 +174,6 @@ def ic_stalk_poly(n: int, i: int, j: int) -> LaurentPoly:
         raise ValueError(f"need 0 <= j <= i <= n, got n={n}, i={i}, j={j}")
     s_j = j * (2 * n + 1 - j)
     if i == j:
-        from .qseries import ONE
         return ONE.shift(-s_j // 2)
     f = solve_stalk_tables(n - j)[0].f[i - j]
     return f.shift(-s_j // 2)
@@ -201,89 +185,3 @@ def fake_degree_poly(n: int, i: int) -> LaurentPoly:
     Equals q^(n^2) * f_i(q), tying the fake degrees to the origin stalks.
     """
     return closed_form_f(n, i).shift(n * n)
-
-
-class FourierTableRow(Record):
-    """One row of the Fourier-transform classification for order-two orbits:
-    row i of the orbit (an OrbitLabel) 2^i 1^(2n+1-2i).
-
-    The trivial local system transforms to a local system of dimension
-    C(2n+1, i) with finite (Tits-group) monodromy; the nontrivial one (absent
-    for i = 0, where its dimension and monodromy are None) to a local system
-    of dimension C(2n, i) - C(2n, i-2) with infinite braid-group monodromy.
-    """
-
-    __slots__ = ("i", "orbit", "trivial_target_dim", "nontrivial_target_dim",
-                 "trivial_monodromy", "nontrivial_monodromy")
-    _defaults = {"trivial_monodromy": "finite-tits", "nontrivial_monodromy": None}
-
-
-def order_two_partition(n: int, i: int) -> Partition:
-    """The partition 2^i 1^(2n+1-2i)."""
-    from .partitions import Partition
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    return Partition._trusted((2,) * i + (1,) * (2 * n + 1 - 2 * i))
-
-
-def _ft_rows(n: int) -> Iterator[FourierTableRow]:
-    """The row of each i in [0, n], made as it is consumed."""
-    from .partitions import OrbitLabel
-    for i in range(n + 1):
-        yield FourierTableRow(
-            i=i,
-            orbit=OrbitLabel(n, order_two_partition(n, i)),
-            trivial_target_dim=binom(2 * n + 1, i),
-            nontrivial_target_dim=binom(2 * n, i) - binom(2 * n, i - 2) if i >= 1 else None,
-            nontrivial_monodromy="infinite-braid" if i >= 1 else None,
-        )
-
-
-def ft_table(n: int) -> tuple[FourierTableRow, ...]:
-    """Rows i = 0..n of the Fourier-transform table.
-
-    The dimensions satisfy trivial(i) = nontrivial(i) + trivial(i-1)."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    return tuple(_ft_rows(n))
-
-
-class SupportInfo(Record):
-    """Support classification of a Fourier transform.
-
-    flag is "full", "proper" or "unknown", and support_name is None unless
-    the target support is named.  For Richardson labels it is: "g_1^0" for
-    the single-odd-part template, "g_1^i" with i = (2n+1 - #odd parts)/2
-    otherwise; general_template marks the latter, whose label map is taken
-    to be the same conjugation as in the single-odd-part case.
-    """
-
-    __slots__ = ("flag", "support_name", "general_template")
-    _defaults = {"support_name": None, "general_template": False}
-
-
-def ft_support_info(o: OrbitLabel, local_system: str = "trivial") -> SupportInfo:
-    """Classify the support of the Fourier transform of (orbit, local system).
-
-    Order-two orbits have full support for both local systems; gapped labels
-    and Richardson labels (trivial system) have proper support; anything else
-    is reported as unknown rather than guessed.
-    """
-    if local_system not in ("trivial", "nontrivial"):
-        raise ValueError(f"unknown local system {local_system!r}")
-    parts = o.partition.parts
-    if local_system == "nontrivial":
-        if parts[0] != 2:  # order two with at least one 2
-            raise ValueError(
-                f"orbit {o.partition.serialize()} carries no nontrivial equivariant local system"
-            )
-        return SupportInfo("full", support_name="g_1")
-    from .partitions import _classify
-    _, richardson, relevant, flag, name = _classify(parts)
-    general = flag == "proper" and richardson and not relevant  # g_1^i with i > 0
-    return SupportInfo(flag, name, general_template=general)
-
-
-def ft_support_flag(o: OrbitLabel, local_system: str = "trivial") -> str:
-    """Just the flag part of ft_support_info: "full", "proper" or "unknown"."""
-    return ft_support_info(o, local_system).flag

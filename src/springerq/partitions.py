@@ -4,8 +4,10 @@ For the split symmetric pair (SL(N), SO(N)) with N = 2n+1 odd, the orbits of
 K = SO(N) on the odd nilpotent cone are labelled by partitions of N (Jordan
 types).  This module implements the orbit-level combinatorics: dimensions and
 the closure (dominance) order, the gap criterion for induced orbits,
-Richardson and relevance templates, the one-step branching of resolution
-fibers, and the fiber-dimension bound they produce, all without recursion.
+Richardson and relevance templates, the support of the Fourier transform of
+each orbit's IC sheaf with the table of the order-two orbits' transforms,
+the one-step branching of resolution fibers, and the fiber-dimension bound
+they produce, all without recursion.
 
 One enumerator, _runs_of, walks partitions as (value, multiplicity) runs
 (Knuth, TAOCP 4A, 7.2.1.4): partitions_of expands them and _orbit_rows reads
@@ -22,6 +24,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from ._record import Record
+from ._util import binom
 
 __all__ = [
     "Partition",
@@ -44,6 +47,12 @@ __all__ = [
     "richardson_label",
     "branch_moves",
     "resolution_fiber_dim",
+    "SupportInfo",
+    "ft_support_info",
+    "ft_support_flag",
+    "FourierTableRow",
+    "order_two_partition",
+    "ft_table",
 ]
 
 ROW_REMOVAL = "row-removal"
@@ -305,6 +314,89 @@ def _classify_runs(runs, weight: int) -> tuple[bool, bool, bool, str, str | None
         name = "g_1^0" if relevant else f"g_1^{(weight - odds) // 2}"
         return gaps, True, relevant, "proper", name
     return gaps, False, False, "proper" if gaps else "unknown", None
+
+
+class SupportInfo(Record):
+    """Support classification of a Fourier transform.
+
+    flag is "full", "proper" or "unknown", and support_name is None unless
+    the target support is named.  For Richardson labels it is: "g_1^0" for
+    the single-odd-part template, "g_1^i" with i = (2n+1 - #odd parts)/2
+    otherwise; general_template marks the latter, whose label map is taken
+    to be the same conjugation as in the single-odd-part case.
+    """
+
+    __slots__ = ("flag", "support_name", "general_template")
+    _defaults = {"support_name": None, "general_template": False}
+
+
+def ft_support_info(o: OrbitLabel, local_system: str = "trivial") -> SupportInfo:
+    """Classify the support of the Fourier transform of (orbit, local system).
+
+    Order-two orbits have full support for both local systems; gapped labels
+    and Richardson labels (trivial system) have proper support; anything else
+    is reported as unknown rather than guessed.
+    """
+    if local_system not in ("trivial", "nontrivial"):
+        raise ValueError(f"unknown local system {local_system!r}")
+    parts = o.partition.parts
+    if local_system == "nontrivial":
+        if parts[0] != 2:  # order two with at least one 2
+            raise ValueError(
+                f"orbit {o.partition.serialize()} carries no nontrivial equivariant local system"
+            )
+        return SupportInfo("full", support_name="g_1")
+    _, richardson, relevant, flag, name = _classify(parts)
+    general = flag == "proper" and richardson and not relevant  # g_1^i with i > 0
+    return SupportInfo(flag, name, general_template=general)
+
+
+def ft_support_flag(o: OrbitLabel, local_system: str = "trivial") -> str:
+    """Just the flag part of ft_support_info: "full", "proper" or "unknown"."""
+    return ft_support_info(o, local_system).flag
+
+
+class FourierTableRow(Record):
+    """One row of the Fourier-transform classification for order-two orbits:
+    row i of the orbit (an OrbitLabel) 2^i 1^(2n+1-2i).
+
+    The trivial local system transforms to a local system of dimension
+    C(2n+1, i) with finite (Tits-group) monodromy; the nontrivial one (absent
+    for i = 0, where its dimension and monodromy are None) to a local system
+    of dimension C(2n, i) - C(2n, i-2) with infinite braid-group monodromy.
+    """
+
+    __slots__ = ("i", "orbit", "trivial_target_dim", "nontrivial_target_dim",
+                 "trivial_monodromy", "nontrivial_monodromy")
+    _defaults = {"trivial_monodromy": "finite-tits", "nontrivial_monodromy": None}
+
+
+def order_two_partition(n: int, i: int) -> Partition:
+    """The partition 2^i 1^(2n+1-2i)."""
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    return Partition._trusted((2,) * i + (1,) * (2 * n + 1 - 2 * i))
+
+
+def _ft_rows(n: int) -> Iterator[FourierTableRow]:
+    """The row of each i in [0, n], made as it is consumed."""
+    for i in range(n + 1):
+        yield FourierTableRow(
+            i=i,
+            orbit=OrbitLabel(n, order_two_partition(n, i)),
+            trivial_target_dim=binom(2 * n + 1, i),
+            nontrivial_target_dim=binom(2 * n, i) - binom(2 * n, i - 2) if i >= 1 else None,
+            nontrivial_monodromy="infinite-braid" if i >= 1 else None,
+        )
+
+
+def ft_table(n: int) -> tuple[FourierTableRow, ...]:
+    """Rows i = 0..n of the Fourier-transform table.
+
+    The dimensions satisfy trivial(i) = nontrivial(i) + trivial(i-1)."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    return tuple(_ft_rows(n))
 
 
 def is_relevant_full(p: Partition) -> bool:

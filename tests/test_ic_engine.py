@@ -1,4 +1,5 @@
-"""The inductive stalk solver, closed forms, and the Fourier-transform table."""
+"""The inductive stalk solver and its closed forms, and the Fourier-transform
+table and support classification of the order-two orbits (in partitions)."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,18 @@ from springerq.ic_engine import (
     closed_form_f,
     closed_form_t,
     fake_degree_poly,
-    ft_support_flag,
-    ft_support_info,
-    ft_table,
     ic_stalk_poly,
-    order_two_partition,
     _peel_symmetric,
     solve_stalk_tables,
 )
-from springerq.partitions import OrbitLabel, Partition
+from springerq.partitions import (
+    OrbitLabel,
+    Partition,
+    ft_support_flag,
+    ft_support_info,
+    ft_table,
+    order_two_partition,
+)
 from springerq.qseries import LaurentPoly, ONE, ZERO, og_poincare
 
 P = Partition

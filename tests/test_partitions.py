@@ -6,18 +6,19 @@ from collections import Counter
 
 import pytest
 
-from springerq.ic_engine import SupportInfo, ft_support_info
 from springerq.partitions import (
     BranchMove,
     OrbitLabel,
     Partition,
     ROW_REMOVAL,
     ROW_SPLIT,
+    SupportInfo,
     branch_moves,
     closure_contains,
     conjugate,
     dim_centralizer,
     dominance_leq,
+    ft_support_info,
     has_gaps,
     induced_orbit,
     is_relevant_full,

@@ -15,15 +15,16 @@ from types import MappingProxyType
 import pytest
 
 from springerq.fano import FanoCohomology, FanoRow, fano_multiplicities
-from springerq.ic_engine import (
+from springerq.ic_engine import MultiplicityTable, StalkTable, solve_stalk_tables
+from springerq.partitions import (
+    BranchMove,
     FourierTableRow,
-    MultiplicityTable,
-    StalkTable,
+    OrbitLabel,
+    Partition,
     SupportInfo,
+    branch_moves,
     ft_table,
-    solve_stalk_tables,
 )
-from springerq.partitions import BranchMove, OrbitLabel, Partition, branch_moves
 from springerq.qseries import LaurentPoly, ONE
 from springerq.springer_typec import Bipartition, springer_label
 

@@ -1,6 +1,7 @@
 """Start-up: the package loads a module on first use, and each subcommand
 loads only the modules it runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -23,16 +24,16 @@ EXPORTS = {
         "conjugate", "dominance_leq", "closure_contains", "dim_centralizer", "orbit_codim",
         "orbit_dim", "has_gaps", "induced_orbit", "is_relevant_full", "is_relevant_parabolic",
         "is_richardson", "richardson_label", "branch_moves", "resolution_fiber_dim",
+        "SupportInfo", "ft_support_info", "ft_support_flag", "FourierTableRow",
+        "order_two_partition", "ft_table",
     ],
     "qseries": [
         "LaurentPoly", "gaussian_binomial", "og_poincare", "quadric_betti",
         "verify_sum_identity", "eval_at_one",
     ],
     "ic_engine": [
-        "StalkTable", "MultiplicityTable", "FourierTableRow", "SupportInfo",
-        "solve_stalk_tables", "closed_form_f", "closed_form_t", "ic_stalk_poly",
-        "fake_degree_poly", "ft_table", "ft_support_flag", "ft_support_info",
-        "order_two_partition",
+        "StalkTable", "MultiplicityTable", "solve_stalk_tables", "closed_form_f",
+        "closed_form_t", "ic_stalk_poly", "fake_degree_poly",
     ],
     "springer_typec": [
         "Bipartition", "kostka", "kostka_order_two_closed_form", "standard_tableaux_count",
@@ -64,6 +65,12 @@ def test_every_export_is_the_object_of_its_home_module(package):
         for name in names:
             assert getattr(package, name) is getattr(home, name), name
     assert ALL <= set(vars(package))  # each one is cached after its first access
+
+
+def test_every_export_is_in_its_home_modules_all():
+    for module, names in springerq._EXPORTS.items():
+        listed = importlib.import_module(f"springerq.{module}").__all__
+        assert set(names.split()) <= set(listed), module
 
 
 def test_star_import_binds_the_60_exports(package):
@@ -121,6 +128,25 @@ def test_importing_the_package_loads_no_module():
     code = _AT_EXIT + "import springerq\nspringerq.kostka\n"
     assert loaded_modules(code) == (0, {"springerq", "springerq._record", "springerq._util",
                                         "springerq.partitions", "springerq.springer_typec"})
+
+
+def test_importing_ic_engine_loads_only_qseries():
+    code = _AT_EXIT + "import springerq.ic_engine\n"
+    assert loaded_modules(code) == (0, {"springerq", "springerq._record", "springerq.qseries",
+                                        "springerq.ic_engine"})
+
+
+def test_sibling_imports_sit_at_module_top_outside_cli():
+    """Only cli and springer_typec.verify_two_power_sum import a sibling module
+    when they run; every other module imports its siblings at its top."""
+    late = {}
+    for path in sorted(Path(SRC, "springerq").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.ImportFrom) and node.level for node in ast.walk(fn)):
+                late.setdefault(path.stem, set()).add(fn.name)
+    assert late.keys() == {"cli", "springer_typec"}
+    assert late["springer_typec"] == {"verify_two_power_sum"}
 
 
 # --help, a bad flag value and the limit + 1 of every rank-limited command
@@ -184,4 +210,4 @@ def test_stalks_and_fano_load_no_partitions(runner, argv):
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_ft_table_loads_no_qseries(runner):
     assert loaded_modules(RUNNERS[runner], "ft-table", "--n", "2") == (
-        0, FRONT | {"springerq._record", "springerq.ic_engine", "springerq.partitions"})
+        0, FRONT | {"springerq._record", "springerq.partitions"})
