@@ -6,6 +6,11 @@ modules for the conventions (in particular the stalk grading in ic_engine).
 
 Importing the package loads none of its modules: each module, and each name
 it exports here, is imported on first access (PEP 562 __getattr__).
+
+_EXPORTS is the one list of public names: each module's __all__ is read from
+it, followed by the few names only the module exports (qseries: ZERO, ONE, Q,
+one_minus_q, sum_of_products; ic_engine: GRADING_NOTE; springer_typec:
+MAX_KOSTKA_COST).
 """
 
 import importlib

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from . import _EXPORTS
 from .qseries import LaurentPoly
 from .ic_engine import closed_form_t, solve_stalk_tables
 from ._record import Record
 from ._util import binom
 
-__all__ = [
-    "FanoRow",
-    "FanoCohomology",
-    "fano_multiplicities",
-    "fano_betti_poly",
-    "fano_betti_poly_from_multiplicities",
-    "fano_lines_table",
-]
+__all__ = _EXPORTS["fano"].split()
 
 
 class FanoRow(Record):
@@ -65,23 +59,18 @@ def fano_multiplicities(n: int, i: int) -> FanoCohomology:
     return FanoCohomology(n, i, 2 * i * (n - i), tuple(_rows(n, i, l_dims)), l_dims)
 
 
-def _betti_poly(n: int, i: int, t) -> LaurentPoly:
-    """sum_j C(2n+1, j) T^i_j q^(i(n-i)), with T^i_j = t(j); its coefficient of
-    q^k is b_{2k}.  Raises ValueError unless 1 <= i <= n, before calling t."""
-    terms = [d * t(j) for j, d in enumerate(_l_dims(n, i))]
-    return sum(terms, LaurentPoly()).shift(i * (n - i))
-
-
 def fano_betti_poly(n: int, i: int) -> LaurentPoly:
-    """sum_k b_{2k} q^k with b_{2k} = sum_j C(2n+1, j) M_i(k, j), from the
-    closed forms of T^i_j."""
-    return _betti_poly(n, i, lambda j: closed_form_t(n, i, j))
+    """sum_k b_{2k} q^k: the Betti column of the rows `springerq fano` prints,
+    b_{2k} = sum_j C(2n+1, j) M_i(k, j) from the closed forms of T^i_j."""
+    return LaurentPoly(enumerate(row.betti for row in _rows(n, i, _l_dims(n, i))))
 
 
 def fano_betti_poly_from_multiplicities(n: int, i: int) -> LaurentPoly:
-    """The same polynomial from the solver's T^i_j, an independent route:
-    must agree with fano_betti_poly coefficientwise."""
-    return _betti_poly(n, i, lambda j: solve_stalk_tables(n)[1].t(i, j))
+    """The same polynomial as sum_j C(2n+1, j) T^i_j q^(i(n-i)) over the
+    solver's T^i_j, an independent route: must agree with fano_betti_poly."""
+    l_dims = _l_dims(n, i)
+    mult = solve_stalk_tables(n)[1]
+    return sum((d * mult.t(i, j) for j, d in enumerate(l_dims)), LaurentPoly()).shift(i * (n - i))
 
 
 def fano_lines_table(n: int) -> list[tuple[int, int, bool, bool]]:

@@ -27,19 +27,11 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
+from . import _EXPORTS
 from ._record import Record
 from .qseries import ONE, ZERO, LaurentPoly, gaussian_binomial, og_poincare, sum_of_products
 
-__all__ = [
-    "StalkTable",
-    "MultiplicityTable",
-    "solve_stalk_tables",
-    "closed_form_f",
-    "closed_form_t",
-    "ic_stalk_poly",
-    "fake_degree_poly",
-    "GRADING_NOTE",
-]
+__all__ = _EXPORTS["ic_engine"].split() + ["GRADING_NOTE"]
 
 GRADING_NOTE = (
     "exponent a records dim H^{2a}; the on-orbit stalk of an IC sheaf sits "

@@ -23,37 +23,11 @@ import itertools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 
+from . import _EXPORTS
 from ._record import Record
 from ._util import binom
 
-__all__ = [
-    "Partition",
-    "OrbitLabel",
-    "BranchMove",
-    "ROW_REMOVAL",
-    "ROW_SPLIT",
-    "partitions_of",
-    "conjugate",
-    "dominance_leq",
-    "closure_contains",
-    "dim_centralizer",
-    "orbit_codim",
-    "orbit_dim",
-    "has_gaps",
-    "induced_orbit",
-    "is_relevant_full",
-    "is_relevant_parabolic",
-    "is_richardson",
-    "richardson_label",
-    "branch_moves",
-    "resolution_fiber_dim",
-    "SupportInfo",
-    "ft_support_info",
-    "ft_support_flag",
-    "FourierTableRow",
-    "order_two_partition",
-    "ft_table",
-]
+__all__ = _EXPORTS["partitions"].split()
 
 ROW_REMOVAL = "row-removal"
 ROW_SPLIT = "row-split"

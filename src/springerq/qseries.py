@@ -26,19 +26,9 @@ import sys
 from array import array
 from collections.abc import Iterable, Mapping
 
-__all__ = [
-    "LaurentPoly",
-    "ZERO",
-    "ONE",
-    "Q",
-    "one_minus_q",
-    "gaussian_binomial",
-    "og_poincare",
-    "sum_of_products",
-    "quadric_betti",
-    "verify_sum_identity",
-    "eval_at_one",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["qseries"].split() + ["ZERO", "ONE", "Q", "one_minus_q", "sum_of_products"]
 
 # Signed machine integer types by size, for Kronecker slots of 1 to 8 bytes.
 _SLOT_TYPES = {array(t).itemsize: t for t in "bhiq"}

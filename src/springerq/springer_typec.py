@@ -10,23 +10,12 @@ binomial expressions, anchored by Kostka numbers counted by Pieri's rule.
 from itertools import accumulate, compress
 from math import factorial, prod
 
+from . import _EXPORTS
 from .partitions import Partition, conjugate
 from ._record import Record
 from ._util import binom
 
-__all__ = [
-    "Bipartition",
-    "MAX_KOSTKA_COST",
-    "kostka",
-    "kostka_order_two_closed_form",
-    "standard_tableaux_count",
-    "springer_label",
-    "bipartition_dim",
-    "euler_chi_trivial",
-    "euler_chi_nontrivial",
-    "verify_cc_identity",
-    "verify_two_power_sum",
-]
+__all__ = _EXPORTS["springer_typec"].split() + ["MAX_KOSTKA_COST"]
 
 MAX_KOSTKA_COST = 2 * 10**7  # kostka's work limit, in row scans; see kostka
 

@@ -1,6 +1,7 @@
 """CLI contract: stable output, schemas, exit codes, golden files."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -280,6 +282,24 @@ def test_benchmark_outputs_match_their_pinned_digests(argv):
     code, out = run_cli(argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(BENCHMARK_DIGESTS) + ["fano --n 50 --i 25"])
+def test_a_second_run_in_one_process_keeps_almost_nothing(argv):
+    # the caches keep what the first run computed; a second run of the same
+    # argv must reuse it, not add to it (tracing starts before the first run,
+    # so that the interpreter's free lists fill there)
+    sizes = []
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            for _ in range(2):
+                assert main(argv.split()) == 0
+                gc.collect()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[1] - sizes[0] < 64 * 1024, sizes
 
 
 def test_verify_n_max_20_within_budget():

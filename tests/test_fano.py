@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+from springerq import fano
 from springerq.fano import (
     fano_betti_poly,
     fano_betti_poly_from_multiplicities,
     fano_lines_table,
     fano_multiplicities,
 )
-from springerq.ic_engine import solve_stalk_tables
+from springerq.ic_engine import closed_form_t, solve_stalk_tables
 from springerq.qseries import LaurentPoly, eval_at_one, gaussian_binomial
 
 
@@ -58,12 +59,14 @@ def test_planes_of_top_index_are_four_to_the_n_points():
 
 def test_table_betti_column_equals_betti_poly():
     # two computations: each row reads one coefficient of every T^i_j, while
-    # fano_betti_poly sums the polynomials C(2n+1, j) T^i_j whole
+    # the sum below takes the polynomials C(2n+1, j) T^i_j of the closed form whole
     for n in range(1, 9):
         for i in range(1, n + 1):
             table = fano_multiplicities(n, i)
-            betti = fano_betti_poly(n, i).coefficients(0, table.complex_dim + 1)
-            assert [row.betti for row in table.rows] == betti, (n, i)
+            whole = sum((math.comb(2 * n + 1, j) * closed_form_t(n, i, j) for j in range(i + 1)),
+                        LaurentPoly()).shift(i * (n - i))
+            assert fano_betti_poly(n, i) == whole, (n, i)
+            assert [row.betti for row in table.rows] == whole.coefficients(0, table.complex_dim + 1)
 
 
 def test_multiplicities_match_solver_table():
@@ -118,8 +121,14 @@ def test_fano_lines_table():
         fano_lines_table(2)
 
 
-def test_index_validation():
-    with pytest.raises(ValueError):
-        fano_multiplicities(3, 0)
-    with pytest.raises(ValueError):
-        fano_multiplicities(3, 4)
+def test_index_validation(monkeypatch):
+    # each entry point refuses i outside [1, n] before it builds any polynomial
+    def unreachable(*args):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(fano, "closed_form_t", unreachable)
+    monkeypatch.setattr(fano, "solve_stalk_tables", unreachable)
+    for entry in (fano_multiplicities, fano_betti_poly, fano_betti_poly_from_multiplicities):
+        for i in (0, 4):
+            with pytest.raises(ValueError, match="1 <= i <= n"):
+                entry(3, i)

@@ -73,6 +73,27 @@ def test_every_export_is_in_its_home_modules_all():
         assert set(names.split()) <= set(listed), module
 
 
+# the names each module exports and the package does not
+MODULE_ONLY = {
+    "partitions": [],
+    "qseries": ["ZERO", "ONE", "Q", "one_minus_q", "sum_of_products"],
+    "ic_engine": ["GRADING_NOTE"],
+    "springer_typec": ["MAX_KOSTKA_COST"],
+    "fano": [],
+}
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_each_modules_all_is_its_package_exports_then_its_own_names(module):
+    namespace = {}
+    exec(f"from springerq.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(EXPORTS[module]) | set(MODULE_ONLY[module])
+    listed = importlib.import_module(f"springerq.{module}").__all__
+    assert len(set(listed)) == len(listed)
+    assert listed == springerq._EXPORTS[module].split() + MODULE_ONLY[module]
+
+
 def test_star_import_binds_the_60_exports(package):
     namespace = {}
     exec("from springerq import *", namespace)
