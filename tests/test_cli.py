@@ -1,5 +1,6 @@
 """CLI contract: stable output, schemas, exit codes, golden files."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -300,6 +301,36 @@ def test_a_second_run_in_one_process_keeps_almost_nothing(argv):
     finally:
         tracemalloc.stop()
     assert sizes[1] - sizes[0] < 64 * 1024, sizes
+
+
+def test_orbits_holds_a_label_per_row_not_the_table():
+    # orbits --n 18 has 21637 rows, whose 8-tuples alone take 5 MiB: the
+    # command holds one label per row (about 2.4 MiB at the peak) and makes
+    # each row as it is written
+    import springerq.partitions  # noqa: F401  (its import is not the command's memory)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["orbits", "--n", "18", "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
+@pytest.mark.parametrize("columns", ["60", "200", "0", "wide", None])
+def test_help_is_argparse_own_text_at_every_width(columns, monkeypatch):
+    # cli._Formatter reads the width without shutil; the text must not change
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for argv in [["--help"]] + [[name, "--help"] for name, *_ in cli._COMMANDS]:
+        ours = run_cli(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_Formatter", argparse.HelpFormatter)
+            assert run_cli(argv) == ours, argv
+        assert ours[0] == 0 and ours[1].startswith("usage: springerq"), argv
 
 
 def test_verify_n_max_20_within_budget():

@@ -232,3 +232,28 @@ def test_stalks_and_fano_load_no_partitions(runner, argv):
 def test_ft_table_loads_no_qseries(runner):
     assert loaded_modules(RUNNERS[runner], "ft-table", "--n", "2") == (
         0, FRONT | {"springerq._record", "springerq.partitions"})
+
+
+# shutil loads bz2, lzma and fnmatch: argparse's HelpFormatter imports it to
+# read the terminal width, which cli._Formatter reads without it
+@pytest.fixture(scope="module")
+def shutil_in_argparse():
+    """Whether argparse loads shutil when its formatter is given a width
+    (it does not on Python 3.11)."""
+    code = _AT_EXIT + ("import argparse\n"
+                       "p = argparse.ArgumentParser(\n"
+                       "    formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))\n"
+                       "p.add_argument('--n', type=int)\n"
+                       "p.format_help(), p.parse_args(['--n', '1'])\n")
+    return "shutil" in all_modules(code)[1]
+
+
+EVERY_COMMAND = [["--help"], ["orbits", "--n", "0"], ["kostka", "--shape", "2,1", "--weight", "1,1,1"],
+                 ["euler", "--n", "2"], ["ft-table", "--n", "2"]] + BENCHMARK_ARGVS
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_no_command_loads_shutil(argv, shutil_in_argparse):
+    code, modules = all_modules(RUNNERS["python -m springerq"], *argv)
+    assert code in (0, 2) and "springerq.cli" in modules
+    assert "shutil" not in modules or shutil_in_argparse
