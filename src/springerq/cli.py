@@ -63,7 +63,7 @@ def _output(args, doc, header, rows, pretty=None) -> None:
 
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
-# orbits --n 22 lists p(45) = 89134 rows (0.4 s and 24 MB as JSON, 0.6 s and 46 MB
+# orbits --n 22 lists p(45) = 89134 rows (0.4 s and 18 MB as JSON, 0.5 s and 47 MB
 # as pretty, 2-vCPU VM); p(47) = 124754
 MAX_ORBITS_RANK = 22
 

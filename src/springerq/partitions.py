@@ -10,9 +10,10 @@ the one-step branching of resolution fibers, and the fiber-dimension bound
 they produce, all without recursion.
 
 One enumerator, _runs_of, walks partitions as (value, multiplicity) runs
-(Knuth, TAOCP 4A, 7.2.1.4): partitions_of expands them, and _orbit_rows buckets
-each one's label by codim in one pass and makes the table's rows as they are
-consumed.  The one classification rule, _classify_runs, reads runs.
+(Knuth, TAOCP 4A, 7.2.1.4): partitions_of expands them, and _orbit_rows files
+each one's label text and classification index in byte buckets by codim in
+one pass and makes the table's rows as they are consumed.  The one
+classification rule, _classify_runs, reads runs.
 
 A partition of odd weight 2n+1 always has an odd number of odd parts; the
 template predicates below exploit this.
@@ -175,28 +176,31 @@ def _runs_of(n: int, cap: int) -> Iterator[list[list[int]]]:
 def _orbit_rows(weight: int) -> tuple[int, Iterator[tuple]]:
     """(count, rows) of the orbits table of an odd weight = 2n+1, whose rows
     (label, dim, codim, *_classify) come by codim, ties in partitions_of's
-    order.  One pass over _runs_of puts each partition's label and shared
-    classification tuple in the bucket of its codim, read off its runs: a run
-    of m parts v after r parts adds v (m r + m (m-1)/2) to dim_centralizer =
-    sum_i (i-1) p_i.  rows makes each row, with dim = n(2n+1) - codim, as it
-    is consumed."""
+    order.  One pass over _runs_of files each partition by its codim, read
+    off its runs: a run of m parts v after r parts adds v (m r + m (m-1)/2)
+    to dim_centralizer = sum_i (i-1) p_i.  A codim's bucket is two
+    bytearrays: its labels' text, each label ended by a newline, and one
+    byte per label indexing the distinct _classify_runs tuples (26 at
+    weight 45).  rows decodes one bucket at a time and makes each row, with
+    dim = n(2n+1) - codim, as it is consumed."""
     top = weight * (weight - 1) // 2
-    labels = [[] for _ in range(top + 1)]
-    classes = [[] for _ in range(top + 1)]
-    shared = {}
+    text = [b"%d," % v for v in range(weight + 1)]
+    labels = [bytearray() for _ in range(top + 1)]
+    kinds = [bytearray() for _ in range(top + 1)]
+    index = {}
     for runs in _runs_of(weight, weight):
-        label = []
         codim = before = 0
         for v, m in runs:
-            label.append(",".join([str(v)] * m))
             codim += v * (m * before + m * (m - 1) // 2)
             before += m
-        labels[codim].append(",".join(label))
-        c = _classify_runs(runs, weight)
-        classes[codim].append(shared.setdefault(c, c))
-    rows = ((label, top - codim, codim, *c) for codim in range(top + 1)
-            for label, c in zip(labels[codim], classes[codim]))
-    return sum(map(len, labels)), rows
+        bucket = labels[codim]
+        bucket += b"".join([text[v] * m for v, m in runs])
+        bucket[-1] = 10  # the last part's comma becomes the label's newline
+        kinds[codim].append(index.setdefault(_classify_runs(runs, weight), len(index)))
+    table = list(index)
+    rows = ((label, top - codim, codim, *table[k]) for codim in range(top + 1)
+            for label, k in zip(labels[codim].decode().splitlines(), kinds[codim]))
+    return sum(map(len, kinds)), rows
 
 
 def conjugate(p: Partition) -> Partition:

@@ -303,10 +303,11 @@ def test_a_second_run_in_one_process_keeps_almost_nothing(argv):
     assert sizes[1] - sizes[0] < 64 * 1024, sizes
 
 
-def test_orbits_holds_a_label_per_row_not_the_table():
+def test_orbits_holds_label_text_per_codim_bucket():
     # orbits --n 18 has 21637 rows, whose 8-tuples alone take 5 MiB: the
-    # command holds one label per row (about 2.4 MiB at the peak) and makes
-    # each row as it is written
+    # command holds each codim bucket as one bytearray of label text and one
+    # of classification indices (about 1.2 MiB at the peak) and makes each
+    # row as it is written
     import springerq.partitions  # noqa: F401  (its import is not the command's memory)
     tracemalloc.start()
     try:
@@ -315,7 +316,7 @@ def test_orbits_holds_a_label_per_row_not_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20, peak
+    assert peak < 1.5 * 2**20, peak
 
 
 @pytest.mark.parametrize("columns", ["60", "200", "0", "wide", None])

@@ -7,6 +7,7 @@ from operator import itemgetter
 
 import pytest
 
+from springerq import cli
 from springerq.partitions import (
     BranchMove,
     OrbitLabel,
@@ -26,6 +27,7 @@ from springerq.partitions import (
     is_relevant_parabolic,
     is_richardson,
     _classify,
+    _classify_runs,
     _orbit_rows,
     _runs_of,
     orbit_codim,
@@ -152,12 +154,21 @@ def test_runs_are_well_formed_and_in_the_oracle_order():
 
 def test_orbit_rows_match_the_partition_functions():
     # the rows come by codim, ties in partitions_of's order: a stable sort
-    for n in range(16):
+    for n in range(19):  # through the benchmark's orbits --n 18
         expected = [(p.serialize(), orbit_dim(OrbitLabel(n, p)), dim_centralizer(p),
                      *_classify(p.parts)) for p in partitions_of(2 * n + 1)]
         count, rows = _orbit_rows(2 * n + 1)
         assert count == len(expected), n
         assert list(rows) == sorted(expected, key=itemgetter(2)), n
+
+
+def test_orbit_classifications_fit_a_byte_at_the_rank_limit():
+    # _orbit_rows stores each row's classification as one bytearray byte, an
+    # index into the distinct tuples; a 257th would raise ValueError, which
+    # cli.main would report as a usage error
+    weight = 2 * cli.MAX_ORBITS_RANK + 1
+    distinct = {_classify_runs(runs, weight) for runs in _runs_of(weight, weight)}
+    assert len(distinct) < 256, len(distinct)
 
 
 def test_partitions_of_a_long_column_needs_no_recursion():
