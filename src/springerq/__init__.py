@@ -24,8 +24,8 @@ _EXPORTS = {
         has_gaps induced_orbit is_relevant_full is_relevant_parabolic is_richardson
         richardson_label branch_moves resolution_fiber_dim SupportInfo ft_support_info
         ft_support_flag FourierTableRow order_two_partition ft_table""",
-    "qseries": """LaurentPoly gaussian_binomial og_poincare quadric_betti
-        verify_sum_identity eval_at_one""",
+    "qseries": """LaurentPoly gaussian_binomial og_poincare verify_sum_identity
+        eval_at_one""",
     "ic_engine": """StalkTable MultiplicityTable solve_stalk_tables closed_form_f
         closed_form_t ic_stalk_poly fake_degree_poly""",
     "springer_typec": """Bipartition kostka kostka_order_two_closed_form

@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 from . import _EXPORTS
 from ._record import Record
-from .qseries import ONE, ZERO, LaurentPoly, gaussian_binomial, og_poincare, sum_of_products
+from .qseries import ONE, ZERO, LaurentPoly, _og_step, gaussian_binomial, sum_of_products
 
 __all__ = _EXPORTS["ic_engine"].split() + ["GRADING_NOTE"]
 
@@ -81,19 +81,15 @@ class MultiplicityTable(Record):
             raise ValueError(f"need 0 <= j <= i <= {self.rank}, got i={i}, j={j}")
         return self.entries[(i, j)]
 
-    def t_coeff(self, i: int, j: int, k2: int) -> int:
-        """The multiplicity t^i_{j,k2} at cohomological shift k2 (0 for odd k2)."""
-        if k2 % 2:
-            return 0
-        return self.t(i, j)[k2 // 2]
-
 
 def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
     """Solve the inductive system for every rank up to n; results are memoized.
 
     Raises RuntimeError("inconsistent recursion") if peeling ever produces a
-    negative multiplicity or a remainder with a nonnegative exponent; both
-    would contradict the uniqueness of the decomposition.
+    negative multiplicity or an f_i with a negative coefficient; both would
+    contradict f_i = q^(-i(2n-i+1)/2) g_{[i/2],n}(q^2) and the uniqueness of
+    the decomposition.  Each rank walks its own chain og_{1..n,2n+1} and
+    leaves og_poincare's cache alone: the solver reads each og_{i,2n+1} once.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
@@ -107,16 +103,18 @@ def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
 def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
     f: list[LaurentPoly] = [ONE]
     entries: dict[tuple[int, int], LaurentPoly] = {}
+    og = ONE
     for i in range(1, n + 1):
+        og = _og_step(og, i, n)
         entries[(i, i)] = ONE
         for j in range(1, i):
             # cross-rank reduction: T^i_j here is T^{i-j}_0 at rank n-j
             entries[(i, j)] = _solve_rank(n - j)[1].entries[(i - j, 0)]
-        residue = (og_poincare(i, n).shift(-i * (2 * n - i + 1) // 2)
+        residue = (og.shift(-i * (2 * n - i + 1) // 2)
                    - sum_of_products((f[j], entries[(i, j)]) for j in range(1, i)))
         t0, remainder = _peel_symmetric(residue)
         entries[(i, 0)] = t0
-        if not remainder.is_zero and remainder.max_exp >= 0:
+        if not remainder.nonneg_coeffs():
             raise RuntimeError("inconsistent recursion")
         f.append(remainder)
     return StalkTable(n, tuple(f)), MultiplicityTable(n, entries)

@@ -4,8 +4,8 @@ Coefficients are Python integers, so every operation is exact; there is no
 floating point anywhere in this module.  On top of the core arithmetic we
 provide the closed-form Poincare polynomials that the rest of the package
 consumes: Gaussian binomials g_{k,m}(q) (Poincare polynomial of the
-Grassmannian Gr(k, m)), orthogonal Grassmannians OGr(i, 2n+1), and quadrics
-of arbitrary rank, together with the q-identity relating them.
+Grassmannian Gr(k, m)) and orthogonal Grassmannians OGr(i, 2n+1), together
+with the q-identity relating them.
 
 Throughout the package the exponent a of q records the dimension of a
 cohomology group in (topological) degree 2a; odd-degree cohomology vanishes
@@ -13,8 +13,9 @@ for every space we touch, so nothing is lost.
 
 A LaurentPoly is a dense, trimmed coefficient tuple; the class docstring
 lists the cost of each operation.  The Poincare polynomials are built from
-cached neighbours, one factor 1 - q^l up and one down, and the stalk solver's
-sums of products go through :func:`sum_of_products`.
+neighbours, one factor 1 - q^l up and one down, so the only division is by
+1 - q^l; the stalk solver walks its own OGr chain with :func:`_og_step`, and
+its sums of products go through :func:`sum_of_products`.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class LaurentPoly:
     """A finitely supported integer Laurent polynomial in q.
 
     Instances are immutable and hashable; two polynomials compare equal iff
-    they have identical support and coefficients.  Arithmetic (+, -, *, **)
-    is exact; division is available only through :meth:`exact_div`, which
-    insists on a zero remainder.
+    they have identical support and coefficients.  Arithmetic (+, -, *) is
+    exact; division is available only through :meth:`exact_div`, by 1 - q^l,
+    and insists on a zero remainder.
 
     ``_lo`` is the lowest exponent and ``_c`` the coefficients of q^_lo,
     q^(_lo+1), ..., trimmed so that the first and last are nonzero; the zero
@@ -57,8 +58,7 @@ class LaurentPoly:
     - ``+``, ``-``, shifts, comparisons, :meth:`coefficients`: O(n);
     - ``*``: one big-integer product (Kronecker substitution, see
       :func:`sum_of_products`);
-    - :meth:`exact_div` by 1 - q^l: O(n); by anything else: long division,
-      O(n (m + 1)) for a divisor of span m.
+    - :meth:`exact_div` by 1 - q^l: O(n).
     """
 
     __slots__ = ("_lo", "_c", "_norms")
@@ -160,36 +160,19 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ArithmeticError unless the remainder is zero."""
+        """Exact division by 1 - q^l, l >= 1; raises ArithmeticError unless the
+        remainder is zero, and ValueError for any other divisor."""
         b = other._c
-        if not b:
-            raise ZeroDivisionError("division by the zero polynomial")
+        if other._lo or len(b) < 2 or b[0] != 1 or b[-1] != -1 or any(b[1:-1]):
+            raise ValueError(f"exact_div divides only by 1 - q^l, l >= 1, not {other}")
         a = self._c
         if not a:
             return ZERO
         if len(a) < len(b):
             raise ArithmeticError("inexact polynomial division")
-        lo = self._lo - other._lo
-        m = len(b) - 1
-        if b[0] == 1 and b[-1] == -1 and not any(b[1:-1]):
-            quot = _div_one_minus_q(a, m)
-        else:
-            quot = _div_long(a, b)
         # dividend and divisor are trimmed, so an exact quotient is too
-        return _new(lo, tuple(quot))
+        return _new(self._lo, tuple(_div_one_minus_q(a, len(b) - 1)))
 
     # -- structural helpers --------------------------------------------------
 
@@ -206,12 +189,6 @@ class LaurentPoly:
         dense = [0] * ((len(self._c) - 1) * r + 1)
         dense[::r] = self._c
         return _new(self._lo * r, tuple(dense))
-
-    def reciprocal(self) -> "LaurentPoly":
-        """Substitute q -> q^(-1)."""
-        if not self._c:
-            return ZERO
-        return _new(-self.max_exp, self._c[::-1])
 
     def is_symmetric(self) -> bool:
         """True iff invariant under q -> q^(-1)."""
@@ -369,25 +346,6 @@ def _div_one_minus_q(a: tuple[int, ...], l: int) -> list[int]:
     return q
 
 
-def _div_long(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Dense long division from the top; the remainder must vanish."""
-    m = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    quot = [0] * (len(a) - m)
-    for k in range(len(quot) - 1, -1, -1):
-        top = r[k + m]
-        if top:
-            if top % lead:
-                raise ArithmeticError("inexact polynomial division")
-            c = top // lead
-            quot[k] = c
-            r[k:k + m + 1] = map(operator.sub, r[k:k + m + 1], map(c.__mul__, b))
-    if any(r[:m]):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 Q = LaurentPoly({1: 1})
@@ -464,8 +422,7 @@ def og_poincare(i: int, n: int) -> LaurentPoly:
     """Poincare polynomial of the orthogonal Grassmannian OGr(i, 2n+1).
 
     og_{i,2n+1}(q) = prod_{l=n-i+1}^{n} (1-q^{2l}) / prod_{l=1}^{i} (1-q^l),
-    of degree i(4n-3i+1)/2, built from its cached neighbour as
-    og_{i-1,2n+1} * (1-q^(2(n-i+1))) / (1-q^i).
+    of degree i(4n-3i+1)/2, built from its cached neighbour by :func:`_og_step`.
     """
     if i < 0 or n < 0 or i > n:
         raise ValueError(f"og_poincare needs 0 <= i <= n, got i={i}, n={n}")
@@ -473,33 +430,12 @@ def og_poincare(i: int, n: int) -> LaurentPoly:
         return ONE
     for j in range(1, i):
         og_poincare(j, n)
-    og = og_poincare(i - 1, n)
+    return _og_step(og_poincare(i - 1, n), i, n)
+
+
+def _og_step(og: LaurentPoly, i: int, n: int) -> LaurentPoly:
+    """og_{i,2n+1} from og = og_{i-1,2n+1}: og * (1-q^(2(n-i+1))) / (1-q^i)."""
     return (og - og.shift(2 * (n - i + 1))).exact_div(one_minus_q(i))
-
-
-def quadric_betti(rank: int, ambient: int) -> LaurentPoly:
-    """Even Betti numbers of the quadric sum_{s<=rank} b_s^2 = 0 in P^(ambient-1).
-
-    The quadric is the join of a smooth quadric of dimension rank-2 with the
-    linear subspace P^(ambient-rank-1) cut out by the quadric's coordinates,
-    which gives
-
-        betti(P^(ambient-rank-1)) + q^(ambient-rank) * betti(smooth quadric).
-
-    Rank 0 returns the ambient projective space, rank 1 the reduced double
-    hyperplane.  Odd cohomology vanishes, so the exponent-a coefficient is
-    dim H^{2a}.
-    """
-    if not 0 <= rank <= ambient:
-        raise ValueError(f"quadric rank must lie in [0, {ambient}], got {rank}")
-    out = {a: 1 for a in range(ambient - rank)}
-    d = rank - 2  # dimension of the smooth quadric in P^(rank-1)
-    if d >= 0:
-        for a in range(d + 1):
-            out[ambient - rank + a] = out.get(ambient - rank + a, 0) + 1
-        if d % 2 == 0:
-            out[ambient - rank + d // 2] += 1
-    return LaurentPoly(out)
 
 
 def verify_sum_identity(n: int, i: int) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from springerq import ic_engine
 from springerq.ic_engine import (
     MultiplicityTable,
     StalkTable,
@@ -134,16 +135,28 @@ def test_multiplicity_table_copies_its_entries():
     assert table.t(1, 0) == LaurentPoly({-1: 1, 0: 1, 1: 1})
 
 
-def test_t_coeff_is_zero_at_odd_shifts_and_reads_even_ones():
-    mult = solve_stalk_tables(5)[1]
-    for i in range(1, 6):
+def test_solver_rejects_a_negative_stalk_coefficient(monkeypatch):
+    # a negative coefficient below q^0 passes the peel and lands in f_1
+    real = ic_engine.sum_of_products
+    monkeypatch.setattr(ic_engine, "sum_of_products",
+                        lambda pairs: real(pairs) + LaurentPoly({-1: 2}))
+    ic_engine._solve_rank.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="inconsistent recursion"):
+            solve_stalk_tables(3)
+    finally:
+        ic_engine._solve_rank.cache_clear()
+
+
+def test_the_solver_leaves_og_poincare_cache_empty():
+    ic_engine._solve_rank.cache_clear()
+    og_poincare.cache_clear()
+    stalks, mult = solve_stalk_tables(24)
+    assert og_poincare.cache_info().currsize == 0
+    for i in range(1, 25):
+        assert stalks.f[i] == closed_form_f(24, i), i
         for j in range(i + 1):
-            t = mult.t(i, j)
-            for k2 in range(-21, 22):
-                assert mult.t_coeff(i, j, k2) == (0 if k2 % 2 else t[k2 // 2]), (i, j, k2)
-    # T^2_0 at rank 5 has coefficients 1 1 2 2 3 3 4 3 3 2 2 1 1 on q^-6 .. q^6
-    assert [mult.t_coeff(2, 0, k2) for k2 in range(-8, 9)] == [2, 0, 2, 0, 3, 0, 3, 0, 4,
-                                                               0, 3, 0, 3, 0, 2, 0, 2]
+            assert mult.t(i, j) == closed_form_t(24, i, j), (i, j)
 
 
 def test_cross_rank_reduction():

@@ -6,8 +6,8 @@ sympy's Poly over ZZ after shifting to nonnegative exponents.  The inputs
 cover both multiplication paths (``*`` and :func:`sum_of_products`, one
 Kronecker substitution with slots of machine width and wider), sparse factors
 such as 1 - q^l past the other factor's span, negative coefficients and
-coefficients beyond 2^64, supports with interior gaps, and the 1 - q^l
-division path on exact and inexact dividends.
+coefficients beyond 2^64, supports with interior gaps, and division by
+1 - q^l, the only divisor exact_div takes, on exact and inexact dividends.
 """
 
 import pytest
@@ -142,15 +142,6 @@ def test_kronecker_slot_widths():
 
 
 @settings(max_examples=100)
-@given(poly_dicts(max_terms=6, max_width=6), st.integers(min_value=0, max_value=5))
-def test_pow_matches_repeated_oracle_product(a, k):
-    expected = {0: 1}
-    for _ in range(k):
-        expected = oracle_mul(expected, trimmed(a))
-    assert as_dict(LaurentPoly(a) ** k) == expected
-
-
-@settings(max_examples=100)
 @given(poly_dicts(), st.integers(min_value=1, max_value=15), poly_dicts(max_terms=3))
 def test_one_minus_q_division_matches_dict_oracle(quot, l, noise):
     divisor = one_minus_q(l)
@@ -158,27 +149,6 @@ def test_one_minus_q_division_matches_dict_oracle(quot, l, noise):
     assert product.exact_div(divisor) == LaurentPoly(quot)
     perturbed = product + LaurentPoly(noise)
     assert div_or_error(perturbed, divisor) == oracle_div_or_error(as_dict(perturbed), as_dict(divisor))
-
-
-@settings(max_examples=100)
-@given(poly_dicts(max_terms=12, max_width=20), nonzero_poly_dicts(max_terms=6, max_width=10),
-       poly_dicts(max_terms=2))
-def test_general_division_matches_dict_oracle(quot, div, noise):
-    divisor = LaurentPoly(div)
-    product = LaurentPoly(quot) * divisor
-    assert product.exact_div(divisor) == LaurentPoly(quot)
-    perturbed = product + LaurentPoly(noise)
-    assert div_or_error(perturbed, divisor) == oracle_div_or_error(as_dict(perturbed), as_dict(divisor))
-
-
-@settings(max_examples=100)
-@given(poly_dicts(), st.integers(min_value=-20, max_value=20),
-       st.sampled_from([1, -1, 2, -3, 2**70]))
-def test_monomial_division_matches_dict_oracle(a, m, c):
-    divisor = LaurentPoly({m: c})
-    pa = LaurentPoly(a)
-    assert div_or_error(pa, divisor) == oracle_div_or_error(trimmed(a), {m: c})
-    assert (pa * divisor).exact_div(divisor) == pa
 
 
 def test_one_minus_q_rejects_dividends_shorter_than_divisor():
@@ -318,10 +288,8 @@ def test_ring_operations_match_sympy(sympy, a, b):
 
 
 @settings(max_examples=50, deadline=None)
-@given(nonzero_poly_dicts(max_terms=12, max_width=20), st.one_of(
-    st.integers(min_value=1, max_value=15).map(one_minus_q),
-    nonzero_poly_dicts(max_terms=6, max_width=10).map(LaurentPoly),
-), poly_dicts(max_terms=2))
+@given(nonzero_poly_dicts(max_terms=12, max_width=20),
+       st.integers(min_value=1, max_value=15).map(one_minus_q), poly_dicts(max_terms=2))
 def test_exact_div_matches_sympy(sympy, quot, divisor, noise):
     dividend = LaurentPoly(quot) * divisor + LaurentPoly(noise)
     if dividend.is_zero:

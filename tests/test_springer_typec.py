@@ -144,6 +144,23 @@ def test_kostka_refuses_a_long_row_without_counting_inside_it():
     assert time.perf_counter() - started < 1.0
 
 
+def test_kostka_refusal_boundary():
+    # cost = states * (rows + 200) against MAX_KOSTKA_COST = 2 * 10**7: one row
+    # has |lam| + 1 states, a row and a box under it 2 |lam[0]| + 1
+    assert MAX_KOSTKA_COST == 20_000_000
+    assert kostka(P((99501,)), P((99501,))) == 1  # 99502 * 201 = 19999902
+    with pytest.raises(ValueError, match=r"costs 20000103 > 20000000$"):
+        kostka(P((99502,)), P((99502,)))
+    assert kostka(P((49504, 1)), P((49504, 1))) == 1  # 99009 * 202 = 19999818
+    with pytest.raises(ValueError, match=r"costs 20000222 > 20000000$"):
+        kostka(P((49505, 1)), P((49505, 1)))
+    # the lower bound (|lam| + 1) * 250 is exactly the limit, so kostka counts the
+    # 3997501 states and refuses
+    hook = P((79950,) + (1,) * 49)
+    with pytest.raises(ValueError, match=r"costs 999375250 > 20000000$"):
+        kostka(hook, hook)
+
+
 def hook_product_count(shape):
     """Independent standard-tableau count via the hook length formula."""
     parts = shape.parts
