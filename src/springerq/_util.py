@@ -19,7 +19,6 @@ from collections.abc import Iterator
 _encode_str = json.encoder.encode_basestring_ascii
 _BATCH = 1 << 16  # characters per write
 _ROWS_PER_BATCH = 128  # rows per call of _encode_flat; 512 raised peak RSS by 0.8 MB
-_MIN_FLAT = 8  # fewer values per batch are written faster one by one
 
 
 def _refuse(value):
@@ -103,8 +102,7 @@ def _flat_text(batch, heads, opening, closing):
     opening, each value after its head, then closing, with "," between the
     values; or None, for the per-value path, unless batch holds lists or
     tuples of len(heads) values of exact type str, int, bool or None and the
-    C encoder is there.  Callers skip batches of fewer than _MIN_FLAT values
-    before calling, which saves a call per small nested table."""
+    C encoder is there."""
     flat = (_encode_flat is not None and _SEQUENCES.issuperset(map(type, batch))
             and set(map(len, batch)) == {len(heads)} and list(itertools.chain.from_iterable(batch)))
     if not flat or not _FLAT_SCALARS.issuperset(map(type, flat)):
@@ -150,8 +148,8 @@ def _pieces(value, indent):
             if type(row) in _SEQUENCES and _FLAT_SCALARS.issuperset(map(type, row)):
                 batch += itertools.islice(rows, _ROWS_PER_BATCH - 1)
                 heads = keys if keys is not None else [inner + "  "] * len(row)
-                if len(batch) * len(heads) >= _MIN_FLAT and (text := _flat_text(
-                        batch, heads, inner + edges[0], inner + edges[1])) is not None:
+                text = _flat_text(batch, heads, inner + edges[0], inner + edges[1])
+                if text is not None:
                     yield sep + text
                     sep = ","
                     continue

@@ -6,18 +6,21 @@ deterministic: no timestamps, fixed row and field order.  JSON integers that
 do not fit in 64 bits are written as decimal strings by _util.write_json;
 Laurent-polynomial coefficients are always decimal strings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
-closed by its reader (128 + SIGPIPE).
+Exit codes: 0 success, 1 verification failure, 2 usage error, 74 stdout
+cannot be written (EX_IOERR: a full disk, a closed fd), 141 stdout closed by
+its reader (128 + SIGPIPE).
 
 Imports: only argparse, the stdlib and _util at the top.  Each command, and
 each verify suite, imports the computational modules it runs when it runs
 (after its own refusals), so --help and usage errors load no other module.
-main refuses a rank over its command's limit before the command runs.
+main refuses a rank, or fano's cost, over its command's MAX_* constant
+before the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import os
 import sys
@@ -34,30 +37,33 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _output(args, doc, header, rows, pretty=None) -> None:
-    """Write the command's result to stdout in args.format.
-
-    json writes doc; tsv and pretty write header and rows, an iterable that
-    is consumed only by those two formats.  pretty, when given, is the whole
-    pretty text and replaces the aligned table.  Every format is written by
-    _util.write_lines in writes of about _BATCH (64 KiB) characters, as its
-    rows are consumed; the aligned table holds every cell for its column
-    widths but never the whole text.  stdout is flushed at the end, so that
-    a closed pipe shows while main can still catch it.
+def _output(args, doc, table=None, pretty=None) -> None:
+    """Write the command's result to stdout in args.format: json writes doc,
+    tsv and pretty write table, a Records that defaults to doc["rows"], and
+    pretty, when given, is the whole pretty text in place of the aligned
+    table.  Every format goes through _util.write_lines in writes of about
+    _BATCH (64 KiB) characters as its rows are consumed; the aligned table
+    holds every cell, for its column widths, but never the whole text.
+    stdout is flushed at the end, so that a closed pipe or a full disk shows
+    while main can still catch it.
     """
+    if sys.stdout is None:  # started with fd 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     if args.format == "json":
         write_json(doc, sys.stdout.write)
         sys.stdout.write("\n")
-    elif args.format == "tsv":
-        write_lines(("\t".join(map(_cell, r)) + "\n" for r in itertools.chain([header], rows)),
-                    sys.stdout.write)
-    elif pretty is not None:
+    elif args.format == "pretty" and pretty is not None:
         sys.stdout.write(pretty)
     else:
-        cells = [tuple(header)] + [tuple(map(_cell, row)) for row in rows]
-        widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-        write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
-                     for r in cells), sys.stdout.write)
+        table = doc["rows"] if table is None else table
+        rows = itertools.chain([table.header], table.rows)
+        if args.format == "tsv":
+            write_lines(("\t".join(map(_cell, r)) + "\n" for r in rows), sys.stdout.write)
+        else:
+            cells = [tuple(map(_cell, r)) for r in rows]
+            widths = [max(len(r[c]) for r in cells) for c in range(len(table.header))]
+            write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
+                         for r in cells), sys.stdout.write)
     sys.stdout.flush()
 
 
@@ -70,9 +76,8 @@ MAX_ORBITS_RANK = 22
 
 def _cmd_orbits(args) -> int:
     from .partitions import _orbit_rows
-    count, rows = _orbit_rows(2 * args.n + 1)  # rows are consumed by one format only
-    _output(args, {"n": args.n, "count": count, "rows": Records(_ORBIT_FIELDS, rows)},
-            _ORBIT_FIELDS, rows)
+    count, rows = _orbit_rows(2 * args.n + 1)
+    _output(args, {"n": args.n, "count": count, "rows": Records(_ORBIT_FIELDS, rows)})
     return 0
 
 
@@ -97,11 +102,9 @@ def _cmd_stalks(args) -> int:
         "f": (stalks.f[i].json_pairs() for i in range(n + 1)),
         "t": ((mult.t(i, j).json_pairs() for j in range(i + 1)) for i in range(1, n + 1)),
     }
-    rows = itertools.chain(
+    _output(args, doc, Records(["table", "i", "j", "poly"], itertools.chain(
         (["f", i, None, stalks.f[i]] for i in range(n + 1)),
-        (["t", i, j, mult.t(i, j)] for i in range(1, n + 1) for j in range(i + 1)),
-    )
-    _output(args, doc, ["table", "i", "j", "poly"], rows)
+        (["t", i, j, mult.t(i, j)] for i in range(1, n + 1) for j in range(i + 1)))))
     return 0
 
 
@@ -114,36 +117,36 @@ def _cmd_stalks(args) -> int:
 MAX_FANO_COST = 500_000
 
 
-def _cmd_fano(args) -> int:
+def _fano_cost(args):
+    """The bound measure of fano: (its refusal text, the table's cost)."""
     n, i = args.n, args.i
     cost = (2 * i * (n - i) + 1) * (i + 5) + (i + 1) * min(i * len(str(2 * n + 1)), n)
-    if cost > MAX_FANO_COST:
-        raise ValueError(f"fano: --n {n} --i {i} costs {cost} > MAX_FANO_COST = {MAX_FANO_COST}")
+    return f"--n {n} --i {i} costs {cost}", cost
+
+
+def _cmd_fano(args) -> int:
+    n, i = args.n, args.i
     from .fano import _l_dims, _rows
     l_dims = _l_dims(n, i)
-    rows = _rows(n, i, l_dims)  # consumed by one format only
     doc = {
-        "n": n,
-        "i": i,
-        "complex_dim": 2 * i * (n - i),
-        "l_dims": l_dims,
+        "n": n, "i": i, "complex_dim": 2 * i * (n - i), "l_dims": l_dims,
         "rows": Records(["k", "degree", "terms", "betti"],
                         ((row.k, 2 * row.k, Records(["j", "mult"], row.terms), row.betti)
-                         for row in rows)),
+                         for row in _rows(n, i, l_dims))),
     }
-    _output(args, doc, ["k", "degree", "betti", "terms"], ([row.k, 2 * row.k, row.betti,
-            ";".join(f"{j}:{m}" for j, m in row.terms)] for row in rows))
+    _output(args, doc, Records(["k", "degree", "betti", "terms"], (
+        [row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
+        for row in _rows(n, i, l_dims))))
     return 0
 
 
 def _cmd_kostka(args) -> int:
     from .partitions import Partition
     from .springer_typec import kostka
-    shape = Partition.parse(args.shape)
-    weight = Partition.parse(args.weight)
+    shape, weight = Partition.parse(args.shape), Partition.parse(args.weight)
     value = kostka(shape, weight)
     doc = {"shape": shape.serialize(), "weight": weight.serialize(), "kostka": value}
-    _output(args, doc, list(doc), [doc.values()], pretty=f"{value}\n")
+    _output(args, doc, Records(doc, [doc.values()]), pretty=f"{value}\n")
     return 0
 
 
@@ -155,11 +158,10 @@ MAX_EULER_RANK = 600
 def _cmd_euler(args) -> int:
     from .springer_typec import euler_chi_nontrivial, euler_chi_trivial
     n = args.n
-    header = ["i", "j", "trivial", "nontrivial"]
-    rows = ((i, j, euler_chi_trivial(n, i, j),  # consumed by one format only
+    rows = ((i, j, euler_chi_trivial(n, i, j),
              euler_chi_nontrivial(n, i, j) if i % 2 == 0 and i >= 2 else None)
             for i in range(n + 1) for j in range(i + 1))
-    _output(args, {"n": n, "rows": Records(header, rows)}, header, rows)
+    _output(args, {"n": n, "rows": Records(["i", "j", "trivial", "nontrivial"], rows)})
     return 0
 
 
@@ -170,12 +172,10 @@ MAX_FT_TABLE_RANK = 1600
 
 def _cmd_ft_table(args) -> int:
     from .partitions import _ft_rows
-    header = ["i", "orbit", "trivial_dim", "trivial_monodromy", "nontrivial_dim",
-              "nontrivial_monodromy"]
     rows = ((r.i, r.orbit.partition.serialize(), r.trivial_target_dim, r.trivial_monodromy,
-             r.nontrivial_target_dim, r.nontrivial_monodromy)  # consumed by one format only
-            for r in _ft_rows(args.n))
-    _output(args, {"n": args.n, "rows": Records(header, rows)}, header, rows)
+             r.nontrivial_target_dim, r.nontrivial_monodromy) for r in _ft_rows(args.n))
+    _output(args, {"n": args.n, "rows": Records(["i", "orbit", "trivial_dim", "trivial_monodromy",
+                                                 "nontrivial_dim", "nontrivial_monodromy"], rows)})
     return 0
 
 
@@ -256,20 +256,17 @@ def _cmd_verify(args) -> int:
     n_max = args.n_max
     results = []
     for name, suite in _SUITES:
-        cases, counterexample = _first_failure(suite(n_max))
-        results.append({"name": name, "passed": counterexample is None,
-                        "cases": cases, "counterexample": counterexample})
-    ok = all(r["passed"] for r in results)
-    width = max(len(r["name"]) for r in results)
+        cases, label = _first_failure(suite(n_max))
+        results.append((name, label is None, cases, label))
+    ok = all(passed for _, passed, _, _ in results)
+    width = max(len(name) for name, *_ in results)
     pretty = "".join(
-        f"{r['name'].ljust(width)}  PASS  ({r['cases']} cases)\n" if r["passed"] else
-        f"{r['name'].ljust(width)}  FAIL  at {r['counterexample']} "
-        f"({r['cases']} cases passed before failure)\n"
-        for r in results
+        f"{name.ljust(width)}  PASS  ({cases} cases)\n" if passed else
+        f"{name.ljust(width)}  FAIL  at {label} ({cases} cases passed before failure)\n"
+        for name, passed, cases, label in results
     ) + f"{'all suites passed' if ok else 'verification failed'} (n_max={n_max})\n"
-    header = ["name", "passed", "cases", "counterexample"]
-    _output(args, {"n_max": n_max, "ok": ok, "suites": results}, header,
-            ([r[h] for h in header] for r in results), pretty=pretty)
+    suites = Records(["name", "passed", "cases", "counterexample"], results)
+    _output(args, {"n_max": n_max, "ok": ok, "suites": suites}, suites, pretty=pretty)
     return 0 if ok else 1
 
 
@@ -287,28 +284,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rank(flag):
+    """The bound measure of a rank flag: args -> (its refusal text, the rank)."""
+    dest = flag[2:].replace("-", "_")
+    return lambda args: (f"{flag} {getattr(args, dest)}", getattr(args, dest))
+
+
 _POSITIVE = dict(type=_positive_int, required=True)
 _N = [("--n", _POSITIVE)]
 
-# (name, help, function, flags, rank limit); every subcommand also takes
-# --format.  A rank limit (flag, name of its constant in this module) is
-# checked by main before the command runs; fano and kostka check their cost.
+# (name, help, function, flags, bound); every subcommand also takes --format.
+# A bound (measure, name of its constant in this module) is checked by main
+# before the command runs; kostka's cost is checked by springer_typec.kostka.
 _COMMANDS = [
-    ("orbits", "orbit table for rank n", _cmd_orbits, _N, ("--n", "MAX_ORBITS_RANK")),
+    ("orbits", "orbit table for rank n", _cmd_orbits, _N, (_rank("--n"), "MAX_ORBITS_RANK")),
     ("stalks", "stalk polynomials f_i and multiplicities T^i_j", _cmd_stalks,
      _N + [("--check", dict(action="store_true",
                             help="cross-validate against the closed forms"))],
-     ("--n", "MAX_STALKS_RANK")),
+     (_rank("--n"), "MAX_STALKS_RANK")),
     ("fano", "cohomology table of the variety of (i-1)-planes", _cmd_fano,
-     _N + [("--i", _POSITIVE)], None),
+     _N + [("--i", _POSITIVE)], (_fano_cost, "MAX_FANO_COST")),
     ("kostka", "Kostka number for a shape and content", _cmd_kostka,
      [("--shape", dict(required=True)), ("--weight", dict(required=True))], None),
     ("euler", "local Euler characteristics of the order-two family", _cmd_euler, _N,
-     ("--n", "MAX_EULER_RANK")),
+     (_rank("--n"), "MAX_EULER_RANK")),
     ("ft-table", "Fourier-transform classification of the order-two family", _cmd_ft_table, _N,
-     ("--n", "MAX_FT_TABLE_RANK")),
+     (_rank("--n"), "MAX_FT_TABLE_RANK")),
     ("verify", "run every identity suite up to a rank bound", _cmd_verify,
-     [("--n-max", _POSITIVE)], ("--n-max", "MAX_VERIFY_RANK")),
+     [("--n-max", _POSITIVE)], (_rank("--n-max"), "MAX_VERIFY_RANK")),
 ]
 
 
@@ -337,25 +340,30 @@ def main(argv=None) -> int:
         formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, run, flags, limit in _COMMANDS:
+    for name, help_text, run, flags, bound in _COMMANDS:
         p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
         for flag, spec in flags:
             p.add_argument(flag, **spec)
         p.add_argument("--format", choices=["pretty", "json", "tsv"], default="pretty")
-        p.set_defaults(run=run, limit=limit)
+        p.set_defaults(run=run, bound=bound)
     args = parser.parse_args(argv)
     try:
-        if args.limit:  # the constant is read now, so that a test can set it
-            flag, name = args.limit
-            value, bound = getattr(args, flag[2:].replace("-", "_")), globals()[name]
-            if value > bound:
-                raise ValueError(f"{args.command}: {flag} {value} > {name} = {bound}")
+        if args.bound:  # the constant is read now, so that a test can set it
+            measure, name = args.bound
+            (text, value), limit = measure(args), globals()[name]
+            if value > limit:
+                raise ValueError(f"{args.command}: {text} > {name} = {limit}")
         return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
     except BrokenPipeError:  # stdout's reader left: what is still buffered goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # stdout cannot take the output, as on a full disk
+        sys.stderr.write(f"springerq: error: cannot write output: {exc.strerror}\n")
+        if sys.stdout is not None:  # the interpreter's last flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 74
 
 
 if __name__ == "__main__":

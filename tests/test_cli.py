@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from springerq import cli, ic_engine, springer_typec
 from springerq.cli import main
+from springerq.partitions import Partition
 from springerq.springer_typec import MAX_KOSTKA_COST
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,6 +182,20 @@ def test_kostka_refuses_costly_input_with_exit_2(capsys):
     assert (code, out) == (2, "")
     assert "error:" in err and "Traceback" not in err
     assert str(MAX_KOSTKA_COST) in err
+
+
+def test_kostka_refuses_a_cost_only_over_the_limit(monkeypatch, capsys):
+    # shape 2,1 has 5 states (the partitions inside it) of 2 + 200 row scans each
+    argv = ["kostka", "--shape", "2,1", "--weight", "1,1,1"]
+    monkeypatch.setattr(springer_typec, "MAX_KOSTKA_COST", 1010)
+    assert springer_typec.kostka(Partition((2, 1)), Partition((1, 1, 1))) == 2
+    assert run_cli(argv) == (0, "2\n")
+    monkeypatch.setattr(springer_typec, "MAX_KOSTKA_COST", 1009)
+    with pytest.raises(ValueError, match=r"^kostka: shape 2,1 costs 1010 > 1009$"):
+        springer_typec.kostka(Partition((2, 1)), Partition((1, 1, 1)))
+    capsys.readouterr()
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err.endswith("springerq: error: kostka: shape 2,1 costs 1010 > 1009\n")
 
 
 @pytest.mark.parametrize("n, i", [("200", "100"), (str(10**12), "5"), (str(10**12), str(10**12))])
@@ -356,6 +372,34 @@ def test_tsv_format():
     assert lines[4] == "2\t0\t2\t1"
 
 
+def _json_cell(v):
+    """A JSON value as _cell writes it: null empty, booleans true/false, and a
+    big int, which the JSON holds as its decimal string, as that string."""
+    return "" if v is None else json.dumps(v) if isinstance(v, bool) else str(v)
+
+
+ONE_TABLE_ARGVS = (
+    [[cmd, "--n", str(n)] for cmd in ("orbits", "euler", "ft-table") for n in range(1, 6)]
+    + [["verify", "--n-max", str(n)] for n in range(1, 6)]
+    + [["kostka", "--shape", shape, "--weight", weight]
+       for shape, weight in (("2,1", "1,1,1"), ("3,2,1", "2,2,1,1"), ("4,2", "2,2,1,1"))])
+
+
+@pytest.mark.parametrize("argv", ONE_TABLE_ARGVS, ids=" ".join)
+def test_tsv_writes_the_rows_of_the_json(argv):
+    """orbits, euler, ft-table, verify and kostka write one table in both
+    formats: the tsv header is the keys of each JSON row, and its cells the
+    row's values."""
+    code, text = run_cli(argv + ["--format", "json"])
+    doc = json.loads(text)
+    rows = doc["suites"] if argv[0] == "verify" else doc.get("rows", [doc])
+    tsv_code, tsv = run_cli(argv + ["--format", "tsv"])
+    assert (code, tsv_code) == (0, 0) and rows
+    lines = [line.split("\t") for line in tsv.splitlines()]
+    assert all(list(row) == lines[0] for row in rows)
+    assert lines[1:] == [[_json_cell(v) for v in row.values()] for row in rows]
+
+
 def test_verify_passes_and_orders_suites_by_name():
     code, out = run_cli(["verify", "--n-max", "3"])
     assert code == 0
@@ -447,6 +491,31 @@ def test_a_reader_that_closes_the_pipe_ends_the_command_quietly_with_141(fmt):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def _run_with_stdout(argv, redirect):
+    """Run springerq as a subprocess through sh with stdout redirected by
+    redirect, such as ">&-"; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(["sh", "-c", f'"$0" -m springerq "$@" {redirect}', sys.executable, *argv],
+                          env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["stalks", "--n", "2", "--format", "json"], ["orbits", "--n", "2"],
+                                  ["orbits", "--n", "14", "--format", "tsv"]], ids=" ".join)
+def test_a_full_disk_ends_the_command_with_one_line_and_74(argv):
+    code, err = _run_with_stdout(argv, "> /dev/full")
+    assert (code, err) == (74, f"springerq: error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("argv", [["orbits", "--n", "2"], ["verify", "--n-max", "2", "--format", "json"]],
+                         ids=" ".join)
+def test_a_closed_stdout_ends_the_command_with_one_line_and_74(argv):
+    code, err = _run_with_stdout(argv, ">&-")
+    assert (code, err) == (74, f"springerq: error: cannot write output: {os.strerror(errno.EBADF)}\n")
 
 
 # -- fuzz of main(argv) ----------------------------------------------------------

@@ -344,7 +344,7 @@ def test_tables_of_scalars_go_to_the_c_encoder_a_batch_at_a_time(monkeypatch):
                         lambda flat, level: sizes.append(len(flat)) or encode(flat, level))
     rows = edge_rows(3 * B + 7, 2)
     written({"rows": Records(["a", "b"], rows), "pairs": rows, "short": rows[:3]})
-    assert sizes == [2 * B] * 3 + [14] + [2 * B] * 3 + [14]  # 6 values go value by value
+    assert sizes == [2 * B] * 3 + [14] + [2 * B] * 3 + [14] + [6]  # a short table is one batch
 
 
 def test_rows_that_hold_tables_are_consumed_one_at_a_time():

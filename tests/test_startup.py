@@ -170,9 +170,12 @@ def test_sibling_imports_sit_at_module_top_outside_cli():
     assert late["springer_typec"] == {"verify_two_power_sum"}
 
 
-# --help, a bad flag value and the limit + 1 of every rank-limited command
+# --help, a bad flag value and every bounded command with each of its integer
+# flags at its limit + 1: over a rank limit, and over fano's cost limit
 USAGE_ERRORS = [["--help"], ["orbits", "--n", "0"]] + [
-    [name, limit[0], str(getattr(cli, limit[1]) + 1)] for name, *_, limit in cli._COMMANDS if limit]
+    [name] + [arg for flag, spec in flags if spec is cli._POSITIVE
+              for arg in (flag, str(getattr(cli, bound[1]) + 1))]
+    for name, _, _, flags, bound in cli._COMMANDS if bound]
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
