@@ -81,30 +81,27 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-# largest accepted rank: stalks --n 42 --check takes 1.1 s as JSON or pretty,
-# 39-43 MB peak RSS, and 28-32 MB without --check (2-vCPU VM, Python 3.11);
-# the solver grows about n^6.8 per rank
+# largest accepted rank: stalks --n 42 takes 0.2 s and 26-30 MB peak RSS from
+# the closed forms, and 1.1 s and 39-43 MB with --check, whose solver grows
+# about n^6.8 per rank (JSON or pretty, 2-vCPU VM, Python 3.11)
 MAX_STALKS_RANK = 42
 
 
 def _cmd_stalks(args) -> int:
     n = args.n
-    from .ic_engine import GRADING_NOTE, solve_stalk_tables
+    from .ic_engine import GRADING_NOTE, closed_form_f, closed_form_t
     if args.check:
-        _, failed = _first_failure(_suite_solver(n, first=n))
+        _, failed = _first_failure(_solver_cases(n))
         if failed is not None:
             sys.stderr.write(f"stalks --check: {failed} disagrees with closed form\n")
             return 1
-    stalks, mult = solve_stalk_tables(n)
-    doc = {
-        "rank": n,
-        "grading": GRADING_NOTE,
-        "f": (stalks.f[i].json_pairs() for i in range(n + 1)),
-        "t": ((mult.t(i, j).json_pairs() for j in range(i + 1)) for i in range(1, n + 1)),
-    }
+    doc = {"rank": n, "grading": GRADING_NOTE,
+           "f": (closed_form_f(n, i).json_pairs() for i in range(n + 1)),
+           "t": ((closed_form_t(n, i, j).json_pairs() for j in range(i + 1))
+                 for i in range(1, n + 1))}
     _output(args, doc, Records(["table", "i", "j", "poly"], itertools.chain(
-        (["f", i, None, stalks.f[i]] for i in range(n + 1)),
-        (["t", i, j, mult.t(i, j)] for i in range(1, n + 1) for j in range(i + 1)))))
+        (["f", i, None, closed_form_f(n, i)] for i in range(n + 1)),
+        (["t", i, j, closed_form_t(n, i, j)] for i in range(1, n + 1) for j in range(i + 1)))))
     return 0
 
 
@@ -180,8 +177,8 @@ def _cmd_ft_table(args) -> int:
 
 
 # -- verify ------------------------------------------------------------------
-# Each suite yields (label, passed) per case, in a fixed order; the label
-# names the case as a counterexample.
+# Each suite gives the cases of one rank as (label, passed), in a fixed order;
+# the label names the case as a counterexample.
 
 
 def _first_failure(cases):
@@ -194,57 +191,47 @@ def _first_failure(cases):
     return passed, None
 
 
-def _suite_poincare(n_max):
-    from .qseries import verify_sum_identity
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            yield f"n={n} i={i}", verify_sum_identity(n, i)
+def _cc_cases(n):
+    from .springer_typec import verify_cc_identity
+    return ((f"n={n} i={i}", verify_cc_identity(n, i)) for i in range(2, n + 1, 2))
 
 
-def _suite_solver(n_max, first=1):
-    from .ic_engine import closed_form_f, closed_form_t, solve_stalk_tables
-    for n in range(first, n_max + 1):
-        stalks, mult = solve_stalk_tables(n)
-        for i in range(n + 1):
-            yield f"f n={n} i={i}", stalks.f[i] == closed_form_f(n, i)
-        for i in range(1, n + 1):
-            for j in range(i + 1):
-                yield f"t n={n} i={i} j={j}", mult.t(i, j) == closed_form_t(n, i, j)
-
-
-def _suite_kostka(n_max):
+def _kostka_cases(n):
     from .partitions import Partition
     from .springer_typec import kostka, kostka_order_two_closed_form
-    for n in range(1, n_max + 1):
-        for i in range(n // 2 + 1):
-            for j0 in range(i + 1):
-                shape = Partition((2,) * (i - j0) + (1,) * (n - 2 * i))
-                weight = Partition((1,) * (n - 2 * j0))
-                yield (f"n={n} i={i} j0={j0}",
-                       kostka(shape, weight) == kostka_order_two_closed_form(n, i, j0))
+    for i in range(n // 2 + 1):
+        for j0 in range(i + 1):
+            shape = Partition((2,) * (i - j0) + (1,) * (n - 2 * i))
+            weight = Partition((1,) * (n - 2 * j0))
+            yield (f"n={n} i={i} j0={j0}",
+                   kostka(shape, weight) == kostka_order_two_closed_form(n, i, j0))
 
 
-def _suite_cc(n_max):
-    from .springer_typec import verify_cc_identity
-    for n in range(2, n_max + 1):
-        for i in range(2, n + 1, 2):
-            yield f"n={n} i={i}", verify_cc_identity(n, i)
+def _poincare_cases(n):
+    from .qseries import verify_sum_identity
+    return ((f"n={n} i={i}", verify_sum_identity(n, i)) for i in range(n + 1))
 
 
-def _suite_two_power(n_max):
+def _solver_cases(n):
+    from .ic_engine import closed_form_f, closed_form_t, solve_stalk_tables
+    stalks, mult = solve_stalk_tables(n)
+    yield from ((f"f n={n} i={i}", stalks.f[i] == closed_form_f(n, i)) for i in range(n + 1))
+    yield from ((f"t n={n} i={i} j={j}", mult.t(i, j) == closed_form_t(n, i, j))
+                for i in range(1, n + 1) for j in range(i + 1))
+
+
+def _two_power_cases(n):
     from .springer_typec import verify_two_power_sum
-    for n in range(1, n_max + 1):
-        for j in range(n + 1):
-            yield f"n={n} j={j}", verify_two_power_sum(n, j)
+    return ((f"n={n} j={j}", verify_two_power_sum(n, j)) for j in range(n + 1))
 
 
 # fixed ordering by suite name
 _SUITES = [
-    ("cc-identity", _suite_cc),
-    ("kostka-closed-form", _suite_kostka),
-    ("poincare-identity", _suite_poincare),
-    ("solver-closed-form", _suite_solver),
-    ("two-power-sum", _suite_two_power),
+    ("cc-identity", _cc_cases),
+    ("kostka-closed-form", _kostka_cases),
+    ("poincare-identity", _poincare_cases),
+    ("solver-closed-form", _solver_cases),
+    ("two-power-sum", _two_power_cases),
 ]
 
 
@@ -256,7 +243,7 @@ def _cmd_verify(args) -> int:
     n_max = args.n_max
     results = []
     for name, suite in _SUITES:
-        cases, label = _first_failure(suite(n_max))
+        cases, label = _first_failure(case for n in range(1, n_max + 1) for case in suite(n))
         results.append((name, label is None, cases, label))
     ok = all(passed for _, passed, _, _ in results)
     width = max(len(name) for name, *_ in results)
@@ -298,9 +285,9 @@ _N = [("--n", _POSITIVE)]
 # before the command runs; kostka's cost is checked by springer_typec.kostka.
 _COMMANDS = [
     ("orbits", "orbit table for rank n", _cmd_orbits, _N, (_rank("--n"), "MAX_ORBITS_RANK")),
-    ("stalks", "stalk polynomials f_i and multiplicities T^i_j", _cmd_stalks,
+    ("stalks", "stalks f_i and multiplicities T^i_j from closed forms", _cmd_stalks,
      _N + [("--check", dict(action="store_true",
-                            help="cross-validate against the closed forms"))],
+                            help="compare the solver with the closed forms before printing"))],
      (_rank("--n"), "MAX_STALKS_RANK")),
     ("fano", "cohomology table of the variety of (i-1)-planes", _cmd_fano,
      _N + [("--i", _POSITIVE)], (_fano_cost, "MAX_FANO_COST")),
@@ -333,8 +320,20 @@ class _Formatter(argparse.HelpFormatter):
         super().__init__(prog, width=width - 2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help raises OSError when it cannot be written
+    (argparse's own _print_message drops the error, and --help exits 0)."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is None:  # started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        file.write(self.format_help())
+        file.flush()
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="springerq",
         description="Exact orbit, stalk, Euler-characteristic and Fano tables.",
         formatter_class=_Formatter,
@@ -346,8 +345,8 @@ def main(argv=None) -> int:
             p.add_argument(flag, **spec)
         p.add_argument("--format", choices=["pretty", "json", "tsv"], default="pretty")
         p.set_defaults(run=run, bound=bound)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.bound:  # the constant is read now, so that a test can set it
             measure, name = args.bound
             (text, value), limit = measure(args), globals()[name]

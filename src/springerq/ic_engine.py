@@ -157,16 +157,12 @@ def ic_stalk_poly(n: int, i: int, j: int) -> LaurentPoly:
 
     Restriction to a base point of O_{2^j ...} shifts the origin stalk of the
     rank n-j sheaf by s_j = j(2n+1-j) = dim O_{2^i ...} - dim O_{2^{i-j} ...},
-    so in the absolute grading the answer is q^(-s_j/2) f_{i-j} at rank n-j.
-    The same polynomials compute the symplectic 2^i 1^(2n-2i) stalks.
+    so in the absolute grading the answer is closed_form_f(n-j, i-j) times
+    q^(-s_j/2).  The same polynomials compute the symplectic 2^i 1^(2n-2i) stalks.
     """
     if not 0 <= j <= i <= n:
         raise ValueError(f"need 0 <= j <= i <= n, got n={n}, i={i}, j={j}")
-    s_j = j * (2 * n + 1 - j)
-    if i == j:
-        return ONE.shift(-s_j // 2)
-    f = solve_stalk_tables(n - j)[0].f[i - j]
-    return f.shift(-s_j // 2)
+    return closed_form_f(n - j, i - j).shift(-j * (2 * n + 1 - j) // 2)
 
 
 def fake_degree_poly(n: int, i: int) -> LaurentPoly:

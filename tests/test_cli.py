@@ -408,17 +408,65 @@ def test_verify_passes_and_orders_suites_by_name():
     assert out.splitlines()[-1].startswith("all suites passed")
 
 
-def test_stalks_check_reports_the_first_mismatch(monkeypatch, capsys):
+@pytest.fixture
+def shifted_t(monkeypatch):
+    """ic_engine.closed_form_t off by a factor q at (i, j) = (2, 1), at every rank."""
     closed_form_t = ic_engine.closed_form_t
     monkeypatch.setattr(
         ic_engine, "closed_form_t",
         lambda n, i, j: closed_form_t(n, i, j).shift(1 if (i, j) == (2, 1) else 0),
     )
+
+
+def test_stalks_check_reports_the_first_mismatch(shifted_t, capsys):
     code, out = run_cli(["stalks", "--n", "3", "--check", "--format", "json"])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
         "stalks --check: t n=3 i=2 j=1 disagrees with closed form\n"
     )
+
+
+def test_verify_and_stalks_check_report_the_same_solver_counterexample(shifted_t, capsys):
+    code, out = run_cli(["verify", "--n-max", "3", "--format", "json"])
+    assert code == 1
+    failed = [s for s in json.loads(out)["suites"] if not s["passed"]]
+    # rank 1 has 4 cases; rank 2 passes f_0, f_1, f_2, T^1_0, T^1_1 and T^2_0
+    assert failed == [{"name": "solver-closed-form", "passed": False, "cases": 10,
+                       "counterexample": "t n=2 i=2 j=1"}]
+    assert run_cli(["stalks", "--n", "2", "--check"]) == (1, "")
+    assert capsys.readouterr().err == "stalks --check: t n=2 i=2 j=1 disagrees with closed form\n"
+
+
+STALKS_ARGVS = [["stalks", "--n", str(n), "--format", fmt]
+                for n in range(1, 7) for fmt in ("pretty", "json", "tsv")]
+
+
+def test_plain_stalks_and_ic_stalk_poly_run_no_solver(monkeypatch):
+    checked = [run_cli(argv + ["--check"]) for argv in STALKS_ARGVS]
+
+    def unreachable(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(ic_engine, "solve_stalk_tables", unreachable)
+    monkeypatch.setattr(ic_engine, "_solve_rank", unreachable)
+    assert [run_cli(argv) for argv in STALKS_ARGVS] == checked
+    for n in range(7):
+        for i in range(n + 1):
+            for j in range(i + 1):
+                # the lowest term of each stalk is q^(-dim O_{2^i 1^(2n+1-2i)} / 2)
+                lowest = ic_engine.ic_stalk_poly(n, i, j).to_pairs()[0]
+                assert lowest == (-i * (2 * n + 1 - i) // 2, 1), (n, i, j)
+
+
+def test_stalks_prints_the_solvers_tables_through_rank_20():
+    for n in range(1, 21):
+        code, out = run_cli(["stalks", "--n", str(n), "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        stalks, mult = ic_engine.solve_stalk_tables(n)
+        assert doc["f"] == [f.json_pairs() for f in stalks.f], n
+        assert doc["t"] == [[mult.t(i, j).json_pairs() for j in range(i + 1)]
+                            for i in range(1, n + 1)], n
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
@@ -505,14 +553,15 @@ def _run_with_stdout(argv, redirect):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["stalks", "--n", "2", "--format", "json"], ["orbits", "--n", "2"],
-                                  ["orbits", "--n", "14", "--format", "tsv"]], ids=" ".join)
+                                  ["orbits", "--n", "14", "--format", "tsv"], ["--help"],
+                                  ["stalks", "--help"]], ids=" ".join)
 def test_a_full_disk_ends_the_command_with_one_line_and_74(argv):
     code, err = _run_with_stdout(argv, "> /dev/full")
     assert (code, err) == (74, f"springerq: error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
-@pytest.mark.parametrize("argv", [["orbits", "--n", "2"], ["verify", "--n-max", "2", "--format", "json"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [["orbits", "--n", "2"], ["verify", "--n-max", "2", "--format", "json"],
+                                  ["--help"], ["stalks", "--help"]], ids=" ".join)
 def test_a_closed_stdout_ends_the_command_with_one_line_and_74(argv):
     code, err = _run_with_stdout(argv, ">&-")
     assert (code, err) == (74, f"springerq: error: cannot write output: {os.strerror(errno.EBADF)}\n")
