@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 from . import _EXPORTS
 from ._record import Record
-from .qseries import ONE, ZERO, LaurentPoly, _og_step, gaussian_binomial, sum_of_products
+from .qseries import ONE, ZERO, LaurentPoly, _step, gaussian_binomial, sum_of_products
 
 __all__ = _EXPORTS["ic_engine"].split() + ["GRADING_NOTE"]
 
@@ -105,7 +105,7 @@ def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
     entries: dict[tuple[int, int], LaurentPoly] = {}
     og = ONE
     for i in range(1, n + 1):
-        og = _og_step(og, i, n)
+        og = _step(og, 2 * (n - i + 1), i)
         entries[(i, i)] = ONE
         for j in range(1, i):
             # cross-rank reduction: T^i_j here is T^{i-j}_0 at rank n-j

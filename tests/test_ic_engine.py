@@ -92,6 +92,14 @@ def test_closed_form_examples():
         closed_form_t(2, 1, 2)
 
 
+def test_closed_forms_refuse_a_float_rank():
+    # the exponent shift is where a float rank would leak into the polynomial
+    with pytest.raises(TypeError, match="must be ints"):
+        closed_form_f(2.0, 1)
+    with pytest.raises(TypeError, match="must be ints"):
+        closed_form_t(2.0, 1, 0)
+
+
 def check_solver_against_closed_forms(n_max):
     for n in range(1, n_max + 1):
         stalks, mult = solve_stalk_tables(n)

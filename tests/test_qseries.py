@@ -1,5 +1,6 @@
 """Laurent-polynomial arithmetic and closed-form Poincare polynomials."""
 
+import math
 import sys
 import threading
 
@@ -95,16 +96,33 @@ def test_exact_div_round_trip():
     a = LaurentPoly({-2: 3, 0: -1, 1: 7})
     for l in (1, 2, 5):
         assert (a * one_minus_q(l)).exact_div(one_minus_q(l)) == a
+    assert ZERO.exact_div(one_minus_q(3)) == ZERO
 
 
 def test_exact_div_rejects_remainder():
     with pytest.raises(ArithmeticError):
         (ONE + Q).exact_div(one_minus_q(2))
+    # a nonzero dividend no longer than 1 - q^l leaves a remainder
+    for a in (ONE, Q.shift(2), ONE + Q.shift(2), LaurentPoly({-1: 1, 1: 1})):
+        with pytest.raises(ArithmeticError):
+            a.exact_div(one_minus_q(3))
     # every divisor other than 1 - q^l is refused, however exact the quotient
     for divisor in (LaurentPoly({0: 2}), ZERO, ONE, Q, -one_minus_q(1), one_minus_q(3).shift(1),
                     one_minus_q(4) + Q.shift(2), ONE - Q * 2):
         with pytest.raises(ValueError, match="only by 1 - q"):
             (divisor * 6).exact_div(divisor)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "1", None])
+def test_shift_refuses_a_non_int_exponent(k):
+    with pytest.raises(TypeError, match="must be ints"):
+        LaurentPoly({0: 1, 2: -1}).shift(k)
+
+
+@pytest.mark.parametrize("divisor", [3, 1.0, "1 - q", None, (1, -1)])
+def test_exact_div_refuses_a_divisor_that_is_no_polynomial(divisor):
+    with pytest.raises(TypeError, match="divides by a LaurentPoly"):
+        one_minus_q(2).exact_div(divisor)
 
 
 @settings(max_examples=150)
@@ -249,8 +267,18 @@ def run_in_fresh_thread(limit, fn):
 
 
 def test_gaussian_long_chain_needs_no_recursion():
-    # 1500 diagonal steps from g_{0,1}, at the default recursion limit
+    # 100 diagonal steps on the shorter side, from g_{0,100}
+    gaussian_binomial.cache_clear()
+    g = run_in_fresh_thread(60, lambda: gaussian_binomial(100, 200))
+    assert eval_at_one(g) == math.comb(200, 100)
+    assert g.max_exp == 10000
+
+
+def test_gaussian_walks_the_shorter_side():
+    # g_{1500,1501} = g_{1,1501}: one step from g_{0,1500}, not 1500 from g_{0,1}
+    gaussian_binomial.cache_clear()
     assert gaussian_binomial(1500, 1501) == LaurentPoly.from_coeffs(0, [1] * 1501)
+    assert gaussian_binomial.cache_info().currsize <= 3
 
 
 def test_og_chain_runs_under_a_lowered_recursion_limit():
