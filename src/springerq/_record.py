@@ -1,6 +1,6 @@
-"""Immutable records on __slots__: what this package uses of a frozen
-dataclass, without importing dataclasses (which loads inspect, ast, dis and
-tokenize) or compiling code for each class."""
+"""Immutable records on __slots__, Partition among them: what this package
+uses of a frozen dataclass, without importing dataclasses (which loads
+inspect, ast, dis and tokenize) or compiling code for each class."""
 
 from itertools import repeat
 

@@ -76,6 +76,9 @@ class MultiplicityTable(Record):
             if i == j and poly != ONE:
                 raise ValueError(f"T^{i}_{i} must be 1")
 
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return self.__class__, (self.rank, dict(self.entries))
+
     def t(self, i: int, j: int) -> LaurentPoly:
         if not 0 <= j <= i <= self.rank:
             raise ValueError(f"need 0 <= j <= i <= {self.rank}, got i={i}, j={j}")

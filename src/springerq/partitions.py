@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import _EXPORTS
 from ._record import Record
@@ -35,67 +35,56 @@ ROW_REMOVAL = "row-removal"
 ROW_SPLIT = "row-split"
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers; () is the partition of 0."""
+class Partition(Record):
+    """Weakly decreasing positive integers, kept as the tuple in the Record's
+    one field parts; () is the partition of 0."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("parts",)
+    _defaults = {"parts": ()}
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(parts)
+    def __post_init__(self):
+        parts = tuple(self.parts)
         for k, p in enumerate(parts):
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {parts!r}")
             if k and parts[k - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
-        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
         """A partition of parts already known to be valid, built without the checks."""
         p = object.__new__(cls)
-        object.__setattr__(p, "_parts", parts)
+        object.__setattr__(p, "parts", parts)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
 
     @property
     def weight(self) -> int:
-        return sum(self._parts)
+        return sum(self.parts)
 
     def part(self, k: int) -> int:
         """The k-th part, 1-based, zero beyond the last row."""
-        return self._parts[k - 1] if 1 <= k <= len(self._parts) else 0
+        return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
 
     def multiplicities(self) -> list[tuple[int, int]]:
         """Distinct part values with multiplicities, largest value first."""
-        return _multiplicities(self._parts)
+        return _multiplicities(self.parts)
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return len(self.parts)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return iter(self.parts)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)!r})"
+        return f"Partition({list(self.parts)!r})"
 
     def __str__(self) -> str:
         return self.serialize()
 
     def serialize(self) -> str:
         """Comma-separated descending parts; the empty partition is ''."""
-        return ",".join(map(str, self._parts))
+        return ",".join(map(str, self.parts))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -138,9 +127,13 @@ class BranchMove(Record):
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest-first lexicographic order."""
+    cap = n if max_part is None else max_part
+    for x in (n, cap):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"weight and max_part must be ints, got {x!r}")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    for runs in _runs_of(n, n if max_part is None else max_part):
+    for runs in _runs_of(n, cap):
         yield Partition._trusted(tuple(itertools.chain.from_iterable([v] * m for v, m in runs)))
 
 
@@ -215,13 +208,9 @@ def dominance_leq(a: Partition, b: Partition) -> bool:
     """True iff every partial sum of a is <= the matching partial sum of b."""
     if a.weight != b.weight:
         raise ValueError("incomparable weights")
-    sa = sb = 0
-    for k in range(1, max(len(a), len(b)) + 1):
-        sa += a.part(k)
-        sb += b.part(k)
-        if sa > sb:
-            return False
-    return True
+    # map stops at the shorter partition, which loses nothing for equal weights: past
+    # a's last part a's sums stay at the weight, and b reaches it only at its last part
+    return all(map(operator.le, itertools.accumulate(a.parts), itertools.accumulate(b.parts)))
 
 
 def closure_contains(outer: OrbitLabel, inner: OrbitLabel) -> bool:
@@ -263,11 +252,8 @@ def induced_orbit(levi_parts: Sequence[Partition], core: Partition) -> Partition
     Componentwise sums of partitions are again weakly decreasing, so the
     result needs no re-sorting.
     """
-    rows = max([len(core)] + [len(q) for q in levi_parts], default=0)
-    parts = []
-    for k in range(1, rows + 1):
-        parts.append(core.part(k) + 2 * sum(q.part(k) for q in levi_parts))
-    return Partition(tuple(x for x in parts if x))
+    rows = itertools.zip_longest(core.parts, *(q.parts for q in levi_parts), fillvalue=0)
+    return Partition(tuple(c + 2 * sum(levi) for c, *levi in rows))
 
 
 def _classify(parts: tuple[int, ...]) -> tuple[bool, bool, bool, str, str | None]:
@@ -456,10 +442,9 @@ def _moves(parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], str, int, 
     """
     mults = _multiplicities(parts)
     cum = 0
-    for idx, (value, m) in enumerate(mults):
+    for (value, m), (nxt_value, nxt_m) in zip(mults, mults[1:] + [(0, 0)]):
         cum += m
         if value >= 2:
-            nxt_value, nxt_m = mults[idx + 1] if idx + 1 < len(mults) else (0, 0)
             delta = 2 * (cum - 1) + (nxt_m if nxt_value == value - 1 else 0)
             yield _resorted(parts, (value,), (value - 2,)), ROW_REMOVAL, delta, cum - 1
         if m >= 2:

@@ -85,12 +85,19 @@ class LaurentPoly:
     def from_coeffs(cls, lo: int, coeffs: Iterable[int]) -> "LaurentPoly":
         """sum_k coeffs[k] q^(lo+k); zero coefficients at either end are dropped."""
         coeffs = list(coeffs)
-        if not isinstance(lo, int) or not all(map(isinstance, coeffs, itertools.repeat(int))):
+        if (not isinstance(lo, int) or not all(map(isinstance, coeffs, itertools.repeat(int)))
+                or any(map(isinstance, coeffs, itertools.repeat(bool)))):
             raise TypeError("exponents and coefficients must be ints")
         return _trimmed(lo, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):  # for copy and pickle; _norms is recomputed on demand
+        return _new, (self._lo, self._c)
 
     # -- basic queries -----------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 from collections import Counter
 from operator import itemgetter
 
@@ -101,6 +102,9 @@ def test_partition_validation():
         P((2, -1))
     assert P().weight == 0
     assert P((3, 2, 2)).weight == 7
+    # parts is stored as a tuple, however it was given
+    for p in P([3, 2, 2]), P(iter((3, 2, 2))), P(parts=[3, 2, 2]):
+        assert type(p.parts) is tuple and p == P((3, 2, 2)) and hash(p) == hash(P((3, 2, 2)))
 
 
 @pytest.mark.parametrize("parts", [(True,), (2, False), (2, True)])
@@ -134,6 +138,13 @@ def test_partitions_of_matches_recursive_oracle():
             assert got == _recursive_partitions(n, max_part), (n, max_part)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         next(partitions_of(-1))
+
+
+@pytest.mark.parametrize("args", [(True,), (False,), (2.0,), ("3",), (3, True), (3, 2.0)])
+def test_partitions_of_refuses_a_bool_or_non_int(args):
+    # a bool is an int, but its parts would print as "True,True,True"
+    with pytest.raises(TypeError, match="must be ints"):
+        next(partitions_of(*args))
 
 
 def test_runs_are_well_formed_and_in_the_oracle_order():
@@ -181,10 +192,11 @@ def test_enumerated_partitions_equal_validated_ones():
             validated = P(p.parts)
             assert p == validated and hash(p) == hash(validated)
             assert type(p) is Partition and type(p.parts) is tuple
+            for name in ("parts", "_parts"):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, (n + 1,))
             with pytest.raises(AttributeError):
-                p._parts = ()
-            with pytest.raises(AttributeError):
-                setattr(p, "_parts", (n + 1,))
+                del p.parts
             assert p.parts == validated.parts
 
 
@@ -215,6 +227,19 @@ def test_dominance_examples():
     assert not dominance_leq(P((3, 1, 1, 1, 1)), P((2, 2, 2, 1)))
     with pytest.raises(ValueError, match="incomparable weights"):
         dominance_leq(P((2, 1)), P((2, 2)))
+
+
+def test_dominance_matches_padded_partial_sums():
+    pairs = 0
+    for w in range(11):
+        parts = all_partitions(w)
+        for a, b in itertools.product(parts, repeat=2):
+            rows = max(len(a), len(b))
+            sa = list(itertools.accumulate(a.parts + (0,) * (rows - len(a))))
+            sb = list(itertools.accumulate(b.parts + (0,) * (rows - len(b))))
+            assert dominance_leq(a, b) == all(x <= y for x, y in zip(sa, sb)), (a, b)
+            pairs += 1
+    assert pairs == 3583
 
 
 def test_dominance_reverses_under_conjugation():
@@ -279,6 +304,11 @@ def test_induced_orbit_examples():
     assert induced_orbit([P((1,))], P((1,))) == P((3,))
     assert induced_orbit([P((1, 1))], P((1, 1, 1))) == P((3, 3, 1))
     assert induced_orbit([], P((2, 1))) == P((2, 1))
+    # a Levi factor longer than the core, and two factors
+    assert induced_orbit([P((2, 2, 1)), P((1,))], P((1,))) == P((7, 4, 2))
+    assert induced_orbit([P((1, 1, 1))], P(())) == P((2, 2, 2))
+    assert induced_orbit([P((1,)), P((1, 1))], P((3, 1, 1, 1))) == P((7, 3, 1, 1))
+    assert induced_orbit([], P(())) == P()
 
 
 def induction_witness(lam):

@@ -79,6 +79,8 @@ def test_from_coeffs_trims_and_checks_types():
         LaurentPoly.from_coeffs(0, [1, 2.0])
     with pytest.raises(TypeError):
         LaurentPoly.from_coeffs(0.5, [1])
+    with pytest.raises(TypeError):  # json_pairs would print "True"
+        LaurentPoly.from_coeffs(0, [True, 2])
 
 
 @settings(max_examples=100)

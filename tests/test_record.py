@@ -4,12 +4,14 @@ Each oracle is a frozen dataclass made here with the record's class name and
 the fields, in order, with the defaults that the records had as dataclasses.
 A record and the oracle built from its field values must agree on repr, ==
 and hash; both must build from the same arguments and refuse the same bad
-ones.
+ones.  Every public value, these records, Partition and LaurentPoly, must
+copy and pickle to an equal value and refuse assignment and deletion.
 """
 
 import copy
 import dataclasses
 import itertools
+import pickle
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +27,7 @@ from springerq.partitions import (
     branch_moves,
     ft_table,
 )
-from springerq.qseries import LaurentPoly, ONE
+from springerq.qseries import LaurentPoly, ONE, ZERO, gaussian_binomial
 from springerq.springer_typec import Bipartition, springer_label
 
 P = Partition
@@ -110,9 +112,25 @@ def test_records_of_different_classes_never_compare_equal():
         assert a != b and not a == b and oracle_of(a) != oracle_of(b)
 
 
-def test_copy_gives_an_equal_record():
-    for r in all_samples():
-        assert copy.copy(r) == r and repr(copy.copy(r)) == repr(r)
+# the public values beside the nine records that have dataclass oracles
+VALUES = {
+    Partition: [P(), P((3, 2, 2)), P.parse("5,1,1")],
+    LaurentPoly: [ZERO, ONE, gaussian_binomial(2, 4), LaurentPoly({-3: 2, 1: -1})],
+}
+
+
+@pytest.mark.parametrize("cls", [*VALUES, *FIELDS], ids=lambda c: c.__name__)
+def test_every_public_value_copies_pickles_and_refuses_changes(cls):
+    for value in VALUES.get(cls) or samples()[cls]:
+        for clone in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
+            assert type(clone) is cls and clone == value and repr(clone) == repr(value)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    # memoized values are shared: a refused del leaves the cache whole
+    assert gaussian_binomial(2, 4).to_pairs() == [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)]
 
 
 # (args, kwargs) that each call builds, or fails to build, both ways
@@ -222,6 +240,7 @@ def test_multiplicity_entries_stay_a_read_only_private_copy():
         table.entries[(1, 0)] = ONE
     source[(1, 0)] = ONE + ONE
     assert table.entries[(1, 0)] == solve_stalk_tables(2)[1].entries[(1, 0)]
-    assert type(copy.copy(table).entries) is MappingProxyType
+    for clone in copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table)):
+        assert type(clone.entries) is MappingProxyType and clone == table
     for solved in solve_stalk_tables(3)[1], solve_stalk_tables(3)[1]:
         assert type(solved.entries) is MappingProxyType
