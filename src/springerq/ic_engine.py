@@ -62,8 +62,8 @@ class MultiplicityTable(Record):
     """Symmetric multiplicity polynomials T^i_j, 1 <= i <= rank, 0 <= j <= i.
 
     entries, a mapping (i, j) -> LaurentPoly, is kept as a read-only view of
-    a private copy: solved tables are memoized and shared across ranks, so no
-    caller may change them.
+    a private copy: a record is immutable, so neither the caller's mapping nor
+    the table's own may change its entries after they are checked.
     """
 
     __slots__ = ("rank", "entries")
@@ -86,9 +86,10 @@ class MultiplicityTable(Record):
 
 
 def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
-    """Solve the inductive system for every rank up to n; results are memoized.
+    """Solve every rank up to n, memoizing only each rank's f_i and T^i_0.
 
-    Raises RuntimeError("inconsistent recursion") if peeling ever produces a
+    Each call builds, and checks, the two tables of rank n from them.  Raises
+    RuntimeError("inconsistent recursion") if peeling ever produces a
     negative multiplicity or an f_i with a negative coefficient; both would
     contradict f_i = q^(-i(2n-i+1)/2) g_{[i/2],n}(q^2) and the uniqueness of
     the decomposition.  Each rank walks its own chain og_{1..n,2n+1} and
@@ -99,28 +100,27 @@ def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
     # ascending warm-up keeps _solve_rank's recursion into smaller ranks one deep
     for rank in range(1, n):
         _solve_rank(rank)
-    return _solve_rank(n)
+    # cross-rank reduction: T^i_j at rank n is T^{i-j}_0 at rank n-j
+    entries = {(i, j): _solve_rank(n - j)[1][i - j] for i in range(1, n + 1) for j in range(i + 1)}
+    return StalkTable(n, _solve_rank(n)[0]), MultiplicityTable(n, entries)
 
 
 @functools.cache
-def _solve_rank(n: int) -> tuple[StalkTable, MultiplicityTable]:
+def _solve_rank(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
+    """(f_0, ..., f_n) and (T^0_0, ..., T^n_0) at rank n, with f_0 = T^0_0 = 1."""
     f: list[LaurentPoly] = [ONE]
-    entries: dict[tuple[int, int], LaurentPoly] = {}
+    t0: list[LaurentPoly] = [ONE]
     og = ONE
     for i in range(1, n + 1):
         og = _step(og, 2 * (n - i + 1), i)
-        entries[(i, i)] = ONE
-        for j in range(1, i):
-            # cross-rank reduction: T^i_j here is T^{i-j}_0 at rank n-j
-            entries[(i, j)] = _solve_rank(n - j)[1].entries[(i - j, 0)]
         residue = (og.shift(-i * (2 * n - i + 1) // 2)
-                   - sum_of_products((f[j], entries[(i, j)]) for j in range(1, i)))
-        t0, remainder = _peel_symmetric(residue)
-        entries[(i, 0)] = t0
+                   - sum_of_products((f[j], _solve_rank(n - j)[1][i - j]) for j in range(1, i)))
+        sym, remainder = _peel_symmetric(residue)
         if not remainder.nonneg_coeffs():
             raise RuntimeError("inconsistent recursion")
         f.append(remainder)
-    return StalkTable(n, tuple(f)), MultiplicityTable(n, entries)
+        t0.append(sym)
+    return tuple(f), tuple(t0)
 
 
 def _peel_symmetric(residue: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -69,7 +69,8 @@ class LaurentPoly:
         data: dict[int, int] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for e, c in items:
-            if not isinstance(e, int) or not isinstance(c, int):
+            if (not isinstance(e, int) or not isinstance(c, int)
+                    or isinstance(e, bool) or isinstance(c, bool)):
                 raise TypeError("exponents and coefficients must be ints")
             data[e] = data.get(e, 0) + c
         support = [e for e, c in data.items() if c]
@@ -213,7 +214,7 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
+            other = LaurentPoly({0: int(other)})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._lo == other._lo and self._c == other._c

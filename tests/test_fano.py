@@ -57,6 +57,14 @@ def test_planes_of_top_index_are_four_to_the_n_points():
         assert fano_betti_poly_from_multiplicities(n, n) == LaurentPoly({0: 4**n}), n
 
 
+def test_euler_characteristic_is_four_to_the_i_times_n_choose_i():
+    # observed for every 1 <= i <= n <= 29, not derived: the Euler characteristic
+    # of the variety of (i-1)-planes; at i = n it counts Reid's 4^n maximal planes
+    for n in range(1, 30):
+        for i in range(1, n + 1):
+            assert fano_betti_poly(n, i).eval_at_one() == 4**i * math.comb(n, i), (n, i)
+
+
 def test_table_betti_column_equals_betti_poly():
     # two computations: each row reads one coefficient of every T^i_j, while
     # the sum below takes the polynomials C(2n+1, j) T^i_j of the closed form whole

@@ -1,6 +1,8 @@
 """The inductive stalk solver and its closed forms, and the Fourier-transform
 table and support classification of the order-two orbits (in partitions)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,28 @@ def test_solver_is_thread_safe():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_solver_memoizes_polynomials_and_builds_one_table_pair_per_call(monkeypatch):
+    built = Counter()
+    for cls in StalkTable, MultiplicityTable:
+        def counted(self, check=cls.__post_init__):
+            built[type(self).__name__] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    ic_engine._solve_rank.cache_clear()
+    try:
+        for calls in 1, 2:  # a cold memo, then a warm one
+            solve_stalk_tables(9)
+            assert built == {"StalkTable": calls, "MultiplicityTable": calls}
+        for n in range(1, 10):
+            f, t0 = ic_engine._solve_rank(n)
+            assert type(f) is tuple and type(t0) is tuple and len(f) == len(t0) == n + 1
+            assert all(type(p) is LaurentPoly for p in f + t0)
+            assert f == tuple(closed_form_f(n, i) for i in range(n + 1)), n
+            assert t0 == (ONE,) + tuple(closed_form_t(n, i, 0) for i in range(1, n + 1)), n
+    finally:
+        ic_engine._solve_rank.cache_clear()
 
 
 # -- closed forms -------------------------------------------------------------

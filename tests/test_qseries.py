@@ -83,6 +83,14 @@ def test_from_coeffs_trims_and_checks_types():
         LaurentPoly.from_coeffs(0, [True, 2])
 
 
+def test_mapping_and_pair_constructor_refuses_bools():
+    # a bool exponent would survive as min_exp; a bool coefficient is refused alike
+    for coeffs in {True: 1}, {1: True}, [(False, 2)], [(0, False)]:
+        with pytest.raises(TypeError, match="must be ints"):
+            LaurentPoly(coeffs)
+    assert ONE == True and ZERO == False and ONE != False  # noqa: E712
+
+
 @settings(max_examples=100)
 @given(polys, polys)
 def test_equal_polynomials_have_equal_hashes_however_built(a, b):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from springerq.ic_engine import ic_stalk_poly
 from springerq.partitions import Partition, conjugate, dominance_leq, partitions_of
 from springerq.springer_typec import (
     MAX_KOSTKA_COST,
@@ -230,6 +231,14 @@ def test_euler_chi_trivial_examples():
     assert euler_chi_trivial(3, 3, 1) == 2
     with pytest.raises(ValueError):
         euler_chi_trivial(3, 2, 3)
+
+
+def test_euler_chi_trivial_is_the_stalk_at_q_one():
+    # the Euler characteristic of a stalk is its polynomial at q = 1
+    for n in range(25):
+        for i in range(n + 1):
+            for j in range(i + 1):
+                assert ic_stalk_poly(n, i, j).eval_at_one() == euler_chi_trivial(n, i, j), (n, i, j)
 
 
 def test_euler_chi_nontrivial_examples():
