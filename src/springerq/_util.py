@@ -33,8 +33,7 @@ _encode_flat = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
 _FLAT_SCALARS = frozenset([str, int, bool, type(None)])
 _SEQUENCES = frozenset([list, tuple])
 # only an int text of 19 or more characters may lie outside the 64-bit range,
-# so _flat_text applies _int_text only where one shows up; the first text of a
-# batch follows "[", and is an int if it is that long and unquoted
+# so _flat_text applies _int_text only where one shows up
 _LONG_TEXT = re.compile("\x00[-0-9]{19}")
 
 
@@ -109,7 +108,7 @@ def _flat_text(batch, heads, opening, closing):
         return None
     text = "".join(_encode_flat(flat, 0))[1:-1]
     texts = text.split("\x00")
-    if (len(texts[0]) > 18 and texts[0][0] != '"') or _LONG_TEXT.search(text):
+    if _LONG_TEXT.search("\x00" + text):
         texts = [_int_text(v, t) if len(t) > 18 and type(v) is int else t for t, v in zip(texts, flat)]
     out = [closing + "," + opening + heads[0], None]
     for head in heads[1:]:

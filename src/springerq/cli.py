@@ -10,14 +10,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 74 stdout
 cannot be written (EX_IOERR: a full disk, a closed fd), 141 stdout closed by
 its reader (128 + SIGPIPE).
 
-Imports: only argparse, the stdlib and _util at the top.  Each command, and
-each verify suite, imports the computational modules it runs when it runs
-(after its own refusals), so --help and usage errors load no other module.
+Imports: only argparse, the stdlib and _util at the top.  Each command
+imports the computational modules it runs when it runs (after its own
+refusals), so --help and usage errors load no other module.
 main refuses a rank, or fano's cost, over its command's MAX_* constant
 before the command runs.
 """
-
-from __future__ import annotations
 
 import argparse
 import errno
@@ -89,7 +87,7 @@ MAX_STALKS_RANK = 42
 
 def _cmd_stalks(args) -> int:
     n = args.n
-    from .ic_engine import GRADING_NOTE, closed_form_f, closed_form_t
+    from .ic_engine import GRADING_NOTE, _solver_cases, closed_form_f, closed_form_t
     if args.check:
         _, failed = _first_failure(_solver_cases(n))
         if failed is not None:
@@ -177,8 +175,9 @@ def _cmd_ft_table(args) -> int:
 
 
 # -- verify ------------------------------------------------------------------
-# Each suite gives the cases of one rank as (label, passed), in a fixed order;
-# the label names the case as a counterexample.
+# Each suite lives in the module that states its identity and gives the cases
+# of one rank as (label, passed), in a fixed order; the label names the case
+# as a counterexample.
 
 
 def _first_failure(cases):
@@ -191,58 +190,21 @@ def _first_failure(cases):
     return passed, None
 
 
-def _cc_cases(n):
-    from .springer_typec import verify_cc_identity
-    return ((f"n={n} i={i}", verify_cc_identity(n, i)) for i in range(2, n + 1, 2))
-
-
-def _kostka_cases(n):
-    from .partitions import Partition
-    from .springer_typec import kostka, kostka_order_two_closed_form
-    for i in range(n // 2 + 1):
-        for j0 in range(i + 1):
-            shape = Partition((2,) * (i - j0) + (1,) * (n - 2 * i))
-            weight = Partition((1,) * (n - 2 * j0))
-            yield (f"n={n} i={i} j0={j0}",
-                   kostka(shape, weight) == kostka_order_two_closed_form(n, i, j0))
-
-
-def _poincare_cases(n):
-    from .qseries import verify_sum_identity
-    return ((f"n={n} i={i}", verify_sum_identity(n, i)) for i in range(n + 1))
-
-
-def _solver_cases(n):
-    from .ic_engine import closed_form_f, closed_form_t, solve_stalk_tables
-    stalks, mult = solve_stalk_tables(n)
-    yield from ((f"f n={n} i={i}", stalks.f[i] == closed_form_f(n, i)) for i in range(n + 1))
-    yield from ((f"t n={n} i={i} j={j}", mult.t(i, j) == closed_form_t(n, i, j))
-                for i in range(1, n + 1) for j in range(i + 1))
-
-
-def _two_power_cases(n):
-    from .springer_typec import verify_two_power_sum
-    return ((f"n={n} j={j}", verify_two_power_sum(n, j)) for j in range(n + 1))
-
-
-# fixed ordering by suite name
-_SUITES = [
-    ("cc-identity", _cc_cases),
-    ("kostka-closed-form", _kostka_cases),
-    ("poincare-identity", _poincare_cases),
-    ("solver-closed-form", _solver_cases),
-    ("two-power-sum", _two_power_cases),
-]
-
-
 # largest accepted rank: verify --n-max 34 takes 3.2 s and 33 MB (2-vCPU VM)
 MAX_VERIFY_RANK = 34
 
 
 def _cmd_verify(args) -> int:
+    from . import ic_engine, qseries, springer_typec
     n_max = args.n_max
     results = []
-    for name, suite in _SUITES:
+    for name, suite in [  # fixed ordering by suite name
+        ("cc-identity", springer_typec._cc_cases),
+        ("kostka-closed-form", springer_typec._kostka_cases),
+        ("poincare-identity", qseries._poincare_cases),
+        ("solver-closed-form", ic_engine._solver_cases),
+        ("two-power-sum", springer_typec._two_power_cases),
+    ]:
         cases, label = _first_failure(case for n in range(1, n_max + 1) for case in suite(n))
         results.append((name, label is None, cases, label))
     ok = all(passed for _, passed, _, _ in results)

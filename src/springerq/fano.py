@@ -8,8 +8,6 @@ its closed form; the solver's T^i_j give an independent route to the Betti
 numbers, used for cross-checking.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 
 from . import _EXPORTS

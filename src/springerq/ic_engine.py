@@ -22,8 +22,6 @@ where the on-orbit stalk of an IC sheaf sits at a = -(dim orbit)/2.  All
 orbit dimensions in this family are even, so a is always an integer.
 """
 
-from __future__ import annotations
-
 import functools
 from types import MappingProxyType
 
@@ -40,7 +38,8 @@ GRADING_NOTE = (
 
 
 class StalkTable(Record):
-    """Origin stalk polynomials f_0..f_n for one rank: f is a tuple of LaurentPoly.
+    """Origin stalk polynomials f_0..f_n for one rank: f is a tuple of LaurentPoly,
+    kept as a copy of the caller's sequence.
 
     f_0 = 1 and every f_i with i >= 1 is supported in strictly negative
     exponents, inside [-i(2n-i+1)/2, -1].
@@ -49,6 +48,7 @@ class StalkTable(Record):
     __slots__ = ("rank", "f")
 
     def __post_init__(self):
+        object.__setattr__(self, "f", tuple(self.f))
         if len(self.f) != self.rank + 1:
             raise ValueError("need exactly rank+1 stalk polynomials")
         if self.f[0] != ONE:
@@ -103,6 +103,15 @@ def solve_stalk_tables(n: int) -> tuple[StalkTable, MultiplicityTable]:
     # cross-rank reduction: T^i_j at rank n is T^{i-j}_0 at rank n-j
     entries = {(i, j): _solve_rank(n - j)[1][i - j] for i in range(1, n + 1) for j in range(i + 1)}
     return StalkTable(n, _solve_rank(n)[0]), MultiplicityTable(n, entries)
+
+
+def _solver_cases(n):
+    """The solver against the closed forms: the cases of rank n as (label,
+    passed), in a fixed order, for verify and stalks --check."""
+    stalks, mult = solve_stalk_tables(n)
+    yield from ((f"f n={n} i={i}", stalks.f[i] == closed_form_f(n, i)) for i in range(n + 1))
+    yield from ((f"t n={n} i={i} j={j}", mult.t(i, j) == closed_form_t(n, i, j))
+                for i in range(1, n + 1) for j in range(i + 1))
 
 
 @functools.cache

@@ -19,8 +19,6 @@ A partition of odd weight 2n+1 always has an odd number of odd parts; the
 template predicates below exploit this.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from collections.abc import Iterator, Sequence

@@ -18,8 +18,6 @@ only division is by 1 - q^l; the stalk solver walks its own OGr chain with
 it, and its sums of products go through :func:`sum_of_products`.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator
@@ -59,8 +57,7 @@ class LaurentPoly:
     - ``+``, ``-``, shifts, comparisons, :meth:`coefficients`: O(n);
     - ``*``: one big-integer product (Kronecker substitution, see
       :func:`sum_of_products`);
-    - :meth:`exact_div` by 1 - q^l: O(n) in l strided prefix sums, so a large
-      l costs l steps: (1 + q)(1 - q^100000) / (1 - q^100000) takes 27 ms.
+    - :meth:`exact_div` by 1 - q^l: O(n), in min(l, n - l) strided prefix sums.
     """
 
     __slots__ = ("_lo", "_c", "_norms")
@@ -336,12 +333,14 @@ def _offset(n: int, w: int) -> int:
 def _div_one_minus_q(a: tuple[int, ...], l: int) -> list[int]:
     """Quotient of a by 1 - q^l, from Q_k = A_k + Q_(k-l).
 
-    Run over all len(a) positions, as l prefix sums with stride l, the
+    Run over all len(a) positions, as prefix sums with stride l, the
     recurrence leaves a[k] + Q_(k-l) = Q_k in the top l slots (all of a if
-    it is shorter), which vanish exactly when the division is exact.
+    it is shorter), which vanish exactly when the division is exact.  A
+    stride holding one value is its own prefix sum, so only the first
+    len(a) - l strides are summed.
     """
     q = list(a)
-    for r in range(l):
+    for r in range(min(l, len(q) - l)):
         q[r::l] = itertools.accumulate(q[r::l])
     if any(q[-l:]):
         raise ArithmeticError("inexact polynomial division")
@@ -453,6 +452,11 @@ def verify_sum_identity(n: int, i: int) -> bool:
         (gaussian_binomial(j // 2, n).subs_power(2).shift((i - j) * (i - j + 1) // 2),
          gaussian_binomial(i - j, 2 * n - i - j))
         for j in range(i + 1))
+
+
+def _poincare_cases(n):
+    """verify's suite: the cases of rank n as (label, passed), in a fixed order."""
+    return ((f"n={n} i={i}", verify_sum_identity(n, i)) for i in range(n + 1))
 
 
 def eval_at_one(p: LaurentPoly) -> int:

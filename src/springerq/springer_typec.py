@@ -169,3 +169,23 @@ def verify_two_power_sum(n: int, j: int) -> bool:
     if total != 2 ** (n - j):
         return False
     return og_poincare(n - j, n - j).eval_at_one() == 2 ** (n - j)
+
+
+# verify's suites: the cases of rank n as (label, passed), in a fixed order
+
+
+def _cc_cases(n):
+    return ((f"n={n} i={i}", verify_cc_identity(n, i)) for i in range(2, n + 1, 2))
+
+
+def _kostka_cases(n):
+    for i in range(n // 2 + 1):
+        for j0 in range(i + 1):
+            shape = Partition((2,) * (i - j0) + (1,) * (n - 2 * i))
+            weight = Partition((1,) * (n - 2 * j0))
+            yield (f"n={n} i={i} j0={j0}",
+                   kostka(shape, weight) == kostka_order_two_closed_form(n, i, j0))
+
+
+def _two_power_cases(n):
+    return ((f"n={n} j={j}", verify_two_power_sum(n, j)) for j in range(n + 1))

@@ -167,6 +167,14 @@ def test_multiplicity_table_copies_its_entries():
     assert table.t(1, 0) == LaurentPoly({-1: 1, 0: 1, 1: 1})
 
 
+def test_stalk_table_keeps_a_tuple_of_the_callers_stalks():
+    f = [ONE, LaurentPoly({-2: 1})]
+    table = StalkTable(1, f)
+    f[1] = ONE  # would fail the table's check
+    assert table.f == (ONE, LaurentPoly({-2: 1}))
+    assert hash(table) == hash(StalkTable(1, tuple(table.f)))
+
+
 def test_solver_rejects_a_negative_stalk_coefficient(monkeypatch):
     # a negative coefficient below q^0 passes the peel and lands in f_1
     real = ic_engine.sum_of_products

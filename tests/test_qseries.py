@@ -1,5 +1,6 @@
 """Laurent-polynomial arithmetic and closed-form Poincare polynomials."""
 
+import itertools
 import math
 import sys
 import threading
@@ -121,6 +122,17 @@ def test_exact_div_rejects_remainder():
                     one_minus_q(4) + Q.shift(2), ONE - Q * 2):
         with pytest.raises(ValueError, match="only by 1 - q"):
             (divisor * 6).exact_div(divisor)
+
+
+def test_exact_div_sums_only_the_strides_holding_two_values_or_more(monkeypatch):
+    accumulate, calls = itertools.accumulate, []
+    monkeypatch.setattr(itertools, "accumulate", lambda xs: calls.append(1) or accumulate(xs))
+    l = 100_000
+    a = (ONE + Q) * one_minus_q(l)
+    assert a.exact_div(one_minus_q(l)) == ONE + Q
+    assert 0 < len(calls) <= a.max_exp - a.min_exp + 1 - l
+    with pytest.raises(ArithmeticError):
+        (ONE + Q.shift(l - 1)).exact_div(one_minus_q(l))
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, "1", None])
