@@ -20,7 +20,8 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 FORMATS = ("json", "tsv", "pretty")
 ARGVS = ([f"verify --n-max {n} --format {fmt}" for n in range(1, 15) for fmt in FORMATS]
          + [f"stalks --n {n}{check} --format {fmt}" for n in range(1, 8)
-            for check in ("", " --check") for fmt in FORMATS])
+            for check in ("", " --check") for fmt in FORMATS]
+         + [f"orbits --n {n} --format {fmt}" for n in range(1, 10) for fmt in FORMATS])
 
 
 def digest(argv):
@@ -43,7 +44,7 @@ def pinned():
 
 
 def test_the_digests_pin_exactly_these_argvs(pinned):
-    assert len(ARGVS) == 84 and list(pinned) == ARGVS
+    assert len(ARGVS) == 111 and list(pinned) == ARGVS
 
 
 @pytest.mark.parametrize("argv", ARGVS)
