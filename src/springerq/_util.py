@@ -6,7 +6,9 @@ string.  That rule lives in _int_text alone.  _pieces is the one walk over
 containers.  It hands each batch of up to _ROWS_PER_BATCH rows of values of
 exact type str, int, bool or None to _flat_text, which encodes the batch in
 one call of the stdlib's C encoder, and writes everything else value by
-value (_scalar); both write the same bytes.
+value (_scalar); both write the same bytes.  The entries of a Records'
+table are written once each, and spliced in after the values of each row
+that indexes them.
 """
 
 import itertools
@@ -87,23 +89,33 @@ class Records(Iterator):
     header must not repeat a key.  It takes up to _ROWS_PER_BATCH rows of
     scalars before writing them, so a row must not be reused or changed
     after it is yielded.
+
+    With a table, a list of tuples of one width, each row's last value is
+    an index k into it, and the row stands for its other values followed by
+    table[k]: the trailing fields are dictionary-encoded, and every writer
+    renders each entry of the table once.
     """
 
-    def __init__(self, header, rows):
-        self.header, self.rows = list(header), iter(rows)
+    def __init__(self, header, rows, table=None):
+        self.header, self.rows, self.table = list(header), iter(rows), table
 
     def __next__(self):
-        return dict(zip(self.header, next(self.rows)))
+        row = next(self.rows)
+        if self.table is not None:
+            row = (*row[:-1], *self.table[row[-1]])
+        return dict(zip(self.header, row))
 
 
-def _flat_text(batch, heads, opening, closing):
+def _flat_text(batch, heads, opening, closing, closings=None):
     """The text of the rows of batch joined by ",", each row written as
     opening, each value after its head, then closing, with "," between the
     values; or None, for the per-value path, unless batch holds lists or
     tuples of len(heads) values of exact type str, int, bool or None and the
-    C encoder is there."""
-    flat = (_encode_flat is not None and _SEQUENCES.issuperset(map(type, batch))
-            and set(map(len, batch)) == {len(heads)} and list(itertools.chain.from_iterable(batch)))
+    C encoder is there.  With closings, each row holds one more value, an
+    index k, and is closed by closings[k] in place of closing."""
+    width = len(heads) + (closings is not None)
+    flat = (_encode_flat is not None and heads and _SEQUENCES.issuperset(map(type, batch))
+            and set(map(len, batch)) == {width} and list(itertools.chain.from_iterable(batch)))
     if not flat or not _FLAT_SCALARS.issuperset(map(type, flat)):
         return None
     text = "".join(_encode_flat(flat, 0))[1:-1]
@@ -115,8 +127,16 @@ def _flat_text(batch, heads, opening, closing):
         out += ["," + head, None]
     out *= len(batch)
     out[0] = opening + heads[0]
-    out[1::2] = texts
-    out.append(closing)
+    if closings is None:
+        out[1::2] = texts
+        out.append(closing)
+    else:  # each row's index picks its closing, and is not written
+        ks = flat[width - 1::width]
+        del texts[width - 1::width]
+        out[1::2] = texts
+        between = [end + "," + opening + heads[0] for end in closings]
+        out[2 * len(heads)::2 * len(heads)] = [between[k] for k in ks[:-1]]
+        out.append(closings[ks[-1]])
     return "".join(out)
 
 
@@ -130,16 +150,24 @@ def _pieces(value, indent):
     per piece while its rows are lists or tuples of scalars that _flat_text
     takes; from the first row or batch that it does not take, one row per
     piece.  Only an item that is itself an iterator is streamed, the same
-    way.  Every other item, and each value in a row of Records, is joined
-    whole, which costs far less for the many small tables nested in rows.
+    way.  Every other item, each value in a row of Records and each entry
+    of its table is joined whole, which costs far less for the many small
+    tables nested in rows.
     """
     inner = indent + "  "
     if isinstance(value, dict):
         items, sep, closing = zip((f"{inner}{_encode_str(k)}: " for k in value), value.values()), "{", "}"
     elif type(value) is Records or type(value) in _SEQUENCES or isinstance(value, Iterator):
         sep, closing = "[", "]"
+        members = closings = None
         if type(value) is Records:  # not isinstance: an ABC's check would slow every list
             keys, rows, edges = [f"{inner}  {_encode_str(k)}: " for k in value.header], value.rows, "{}"
+            if value.table is not None:  # each entry's members, written once
+                lead = len(keys) - (len(value.table[0]) if value.table else 0)
+                members = [[k + (_scalar(v) or "".join(_pieces(v, inner + "  ")))
+                            for k, v in zip(keys[lead:], entry)] for entry in value.table]
+                keys = keys[:lead]
+                closings = ["".join("," + m for m in ms) + inner + "}" for ms in members]
         else:
             keys, rows, edges = None, iter(value), "[]"
         for row in rows:
@@ -147,7 +175,7 @@ def _pieces(value, indent):
             if type(row) in _SEQUENCES and _FLAT_SCALARS.issuperset(map(type, row)):
                 batch += itertools.islice(rows, _ROWS_PER_BATCH - 1)
                 heads = keys if keys is not None else [inner + "  "] * len(row)
-                text = _flat_text(batch, heads, inner + edges[0], inner + edges[1])
+                text = _flat_text(batch, heads, inner + edges[0], inner + edges[1], closings)
                 if text is not None:
                     yield sep + text
                     sep = ","
@@ -160,6 +188,8 @@ def _pieces(value, indent):
             items = ()
             for row in rows:
                 texts = [k + (_scalar(v) or "".join(_pieces(v, inner + "  "))) for k, v in zip(keys, row)]
+                if members is not None:
+                    texts += members[row[-1]]
                 yield f"{sep}{inner}{{{','.join(texts)}{inner}}}" if texts else sep + inner + "{}"
                 sep = ","
     else:

@@ -54,11 +54,21 @@ def _output(args, doc, table=None, pretty=None) -> None:
         sys.stdout.write(pretty)
     else:
         table = doc["rows"] if table is None else table
-        rows = itertools.chain([table.header], table.rows)
+        rows, ends = table.rows, table.table
         if args.format == "tsv":
-            write_lines(("\t".join(map(_cell, r)) + "\n" for r in rows), sys.stdout.write)
+            if ends is None:
+                lines = ("\t".join(map(_cell, r)) + "\n" for r in rows)
+            else:  # each entry's cells joined once
+                ends = ["".join("\t" + _cell(v) for v in e) + "\n" for e in ends]
+                lines = ("\t".join(map(_cell, r[:-1])) + ends[r[-1]] for r in rows)
+            write_lines(itertools.chain(["\t".join(table.header) + "\n"], lines), sys.stdout.write)
         else:
-            cells = [tuple(map(_cell, r)) for r in rows]
+            if ends is None:
+                cells = (tuple(map(_cell, r)) for r in rows)
+            else:  # each entry's cells made once
+                ends = [tuple(map(_cell, e)) for e in ends]
+                cells = (tuple(map(_cell, r[:-1])) + ends[r[-1]] for r in rows)
+            cells = [tuple(table.header), *cells]
             widths = [max(len(r[c]) for r in cells) for c in range(len(table.header))]
             write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
                          for r in cells), sys.stdout.write)
@@ -67,15 +77,15 @@ def _output(args, doc, table=None, pretty=None) -> None:
 
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
-# orbits --n 22 lists p(45) = 89134 rows (0.4 s and 18 MB as JSON, 0.5 s and 47 MB
-# as pretty, 2-vCPU VM); p(47) = 124754
+# orbits --n 22 lists p(45) = 89134 rows (cold, 2-vCPU VM: 0.35 s and 18 MB as JSON,
+# 0.37 s and 18 MB as tsv, 0.51 s and 45 MB as pretty); p(47) = 124754
 MAX_ORBITS_RANK = 22
 
 
 def _cmd_orbits(args) -> int:
     from .partitions import _orbit_rows
-    count, rows = _orbit_rows(2 * args.n + 1)
-    _output(args, {"n": args.n, "count": count, "rows": Records(_ORBIT_FIELDS, rows)})
+    count, table, rows = _orbit_rows(2 * args.n + 1)
+    _output(args, {"n": args.n, "count": count, "rows": Records(_ORBIT_FIELDS, rows, table)})
     return 0
 
 

@@ -10,10 +10,14 @@ the one-step branching of resolution fibers, and the fiber-dimension bound
 they produce, all without recursion.
 
 One enumerator, _runs_of, walks partitions as (value, multiplicity) runs
-(Knuth, TAOCP 4A, 7.2.1.4): partitions_of expands them, and _orbit_rows files
-each one's label text and classification index in byte buckets by codim in
-one pass and makes the table's rows as they are consumed.  The one
-classification rule, _classify_runs, reads runs.
+(Knuth, TAOCP 4A, 7.2.1.4) and says how many leading runs each step kept:
+partitions_of expands the runs, and _orbit_rows extends a per-run state only
+past the kept runs, filing each partition's label text and classification
+index in byte buckets by codim in one pass and making the table's rows as
+they are consumed.  The one classification rule, _classify_summary, reads a
+summary of the runs (their count, the largest part, the number of odd parts
+and whether an odd part follows an even one), which _classify_runs and
+_orbit_rows each compute.
 
 A partition of odd weight 2n+1 always has an odd number of odd parts; the
 template predicates below exploit this.
@@ -86,15 +90,16 @@ class Partition(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Inverse of serialize; non-descending input is rejected, not sorted."""
+        """Inverse of serialize; non-descending input is rejected, not sorted.
+        Each comma-separated token, once stripped, must be ASCII digits: int()
+        would also read signs, underscores and other scripts' digits."""
         text = text.strip()
         if not text:
             return cls()
-        try:
-            parts = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed partition {text!r}") from None
-        return cls(parts)
+        tokens = [tok.strip() for tok in text.split(",")]
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"malformed partition {text!r}")
+        return cls(tuple(map(int, tokens)))
 
 
 class OrbitLabel(Record):
@@ -131,67 +136,86 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             raise TypeError(f"weight and max_part must be ints, got {x!r}")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    for runs in _runs_of(n, cap):
+    for runs, _ in _runs_of(n, cap):
         yield Partition._trusted(tuple(itertools.chain.from_iterable([v] * m for v, m in runs)))
 
 
-def _runs_of(n: int, cap: int) -> Iterator[list[list[int]]]:
-    """The partitions of n >= 0 with no part over cap in partitions_of's
-    order, each as its [value, multiplicity] runs, largest value first.
+def _runs_of(n: int, cap: int) -> Iterator[tuple[list[list[int]], int]]:
+    """(runs, keep) for each partition of n >= 0 with no part over cap, in
+    partitions_of's order: runs are its [value, multiplicity] runs, largest
+    value first, and the first keep of them are those of the partition
+    yielded before (keep is 0 for the first).
 
-    One list is yielded each time and changed in place between yields, so a
-    caller copies what must outlive the next step.  A step drops the run of
-    1s, takes one copy off the smallest run left and refills greedily with
-    copies of its value - 1 and a remainder.
+    One list of runs is yielded each time and changed in place between
+    yields, so a caller copies what must outlive the next step.  A step
+    drops the run of 1s, takes one copy off the smallest run left, which is
+    run keep, and refills greedily with copies of its value - 1 and a
+    remainder; the runs before it stay as they are.
     """
     if n == 0:
-        yield []
+        yield [], 0
         return
-    runs, rest, top = [], n, min(cap, n)
+    runs, rest, top, keep = [], n, min(cap, n), 0
     while top >= 1:  # false at once for cap < 1; a step leaves top >= 1
         copies, rest = divmod(rest, top)
         runs.append([top, copies])
         if rest:
             runs.append([rest, 1])
-        yield runs
+        yield runs, keep
         rest = runs.pop()[1] if runs[-1][0] == 1 else 0
         if not runs:
             return
         top, copies = runs.pop()
+        keep = len(runs)
         if copies > 1:
             runs.append([top, copies - 1])
         rest += top
         top -= 1
 
 
-def _orbit_rows(weight: int) -> tuple[int, Iterator[tuple]]:
-    """(count, rows) of the orbits table of an odd weight = 2n+1, whose rows
-    (label, dim, codim, *_classify) come by codim, ties in partitions_of's
-    order.  One pass over _runs_of files each partition by its codim, read
-    off its runs: a run of m parts v after r parts adds v (m r + m (m-1)/2)
-    to dim_centralizer = sum_i (i-1) p_i.  A codim's bucket is two
-    bytearrays: its labels' text, each label ended by a newline, and one
-    byte per label indexing the distinct _classify_runs tuples (26 at
-    weight 45).  rows decodes one bucket at a time and makes each row, with
-    dim = n(2n+1) - codim, as it is consumed."""
+def _orbit_rows(weight: int) -> tuple[int, list[tuple], Iterator[tuple]]:
+    """(count, table, rows) of the orbits table of an odd weight = 2n+1:
+    table lists the distinct _classify_summary tuples (26 at weight 45), and
+    the rows (label, dim, codim, k), with table[k] the row's classification,
+    come by codim, ties in partitions_of's order.
+
+    One pass over _runs_of keeps a state per leading run: codim (a run of m
+    parts v after r parts adds v (m r + m (m-1)/2) to dim_centralizer =
+    sum_i (i-1) p_i), the parts, label text and odd parts so far, and
+    whether an odd part followed an even one.  Each step drops the states
+    past keep and extends only the runs after them, and the rule runs once
+    per distinct summary.  A codim's bucket is two bytearrays: its labels'
+    text, each ended by a newline, and one byte per label holding k.  rows
+    decodes one bucket at a time and makes each row, with dim = n(2n+1) -
+    codim, as it is consumed."""
     top = weight * (weight - 1) // 2
     text = [b"%d," % v for v in range(weight + 1)]
     labels = [bytearray() for _ in range(top + 1)]
     kinds = [bytearray() for _ in range(top + 1)]
-    index = {}
-    for runs in _runs_of(weight, weight):
-        codim = before = 0
-        for v, m in runs:
+    classes, index = {}, {}
+    states = [(0, 0, b"", 0, False)]
+    for runs, keep in _runs_of(weight, weight):
+        del states[keep + 1:]
+        codim, before, label, odds, late = states[-1]
+        for v, m in runs[keep:]:
             codim += v * (m * before + m * (m - 1) // 2)
+            if v & 1:
+                late = late or before > odds  # an even part came before
+                odds += m
             before += m
+            label += text[v] * m
+            states.append((codim, before, label, odds, late))
+        summary = len(runs), runs[0][0], odds, late
+        k = index.get(summary)
+        if k is None:
+            k = index[summary] = classes.setdefault(_classify_summary(*summary, weight), len(classes))
         bucket = labels[codim]
-        bucket += b"".join([text[v] * m for v, m in runs])
+        bucket += label
         bucket[-1] = 10  # the last part's comma becomes the label's newline
-        kinds[codim].append(index.setdefault(_classify_runs(runs, weight), len(index)))
-    table = list(index)
-    rows = ((label, top - codim, codim, *table[k]) for codim in range(top + 1)
+        kinds[codim].append(k)
+    rows = ((label, top - codim, codim, k) for codim in range(top + 1)
             for label, k in zip(labels[codim].decode().splitlines(), kinds[codim]))
-    return sum(map(len, kinds)), rows
+    return sum(map(len, kinds)), list(classes), rows
 
 
 def conjugate(p: Partition) -> Partition:
@@ -260,11 +284,21 @@ def _classify(parts: tuple[int, ...]) -> tuple[bool, bool, bool, str, str | None
 
 
 def _classify_runs(runs, weight: int) -> tuple[bool, bool, bool, str, str | None]:
+    """_classify_summary of a nonempty partition of weight given by its runs,
+    largest value first."""
+    odds = sum(m for v, m in runs if v & 1)
+    late = 1 in itertools.dropwhile(operator.truth, (v & 1 for v, _ in runs))  # odd after even
+    return _classify_summary(len(runs), runs[0][0], odds, late, weight)
+
+
+def _classify_summary(count: int, top: int, odds: int, late: bool,
+                      weight: int) -> tuple[bool, bool, bool, str, str | None]:
     """(has_gaps, is_richardson, is_relevant_full, support flag, support name)
-    of a nonempty partition of weight, from its runs, largest value first.
+    of a nonempty partition of weight with count runs, largest part top,
+    odds odd parts, and late true iff an odd part follows an even one.
 
     No gaps means one run for each value 1..top.  Richardson means every odd
-    run comes before every even run: the templates read mu = (parts // 2),
+    part comes before every even part: the templates read mu = (parts // 2),
     which is weakly decreasing iff every odd part exceeds every even part.
     Relevant means Richardson with one odd part.  The flag and name are
     ft_support_info's for the trivial local system: "full" and "g_1" when no
@@ -272,15 +306,7 @@ def _classify_runs(runs, weight: int) -> tuple[bool, bool, bool, str, str | None
     odd part, "g_1^i" with i = (weight - #odd parts)/2 otherwise; "proper"
     and no name for other gapped labels; "unknown" for the rest.
     """
-    top = runs[0][0]
-    gaps = len(runs) != top
-    odds, seen_even, richardson = 0, False, True
-    for v, m in runs:
-        if v & 1:
-            odds += m
-            richardson = richardson and not seen_even
-        else:
-            seen_even = True
+    gaps, richardson = count != top, not late
     relevant = richardson and odds == 1
     if top <= 2:
         return gaps, richardson, relevant, "full", "g_1"

@@ -184,6 +184,14 @@ def test_kostka_refuses_costly_input_with_exit_2(capsys):
     assert str(MAX_KOSTKA_COST) in err
 
 
+@pytest.mark.parametrize("shape, weight", [("1_0", "+10"), ("10", "+10"), ("\u0663", "2,1")])
+def test_kostka_refuses_a_partition_that_is_not_ascii_digits(shape, weight, capsys):
+    # int() would read each of these, and "shape" would print as a different text
+    assert run_cli(["kostka", "--shape", shape, "--weight", weight]) == (2, "")
+    err = capsys.readouterr().err
+    assert "springerq: error: malformed partition" in err and "Traceback" not in err
+
+
 def test_kostka_refuses_a_cost_only_over_the_limit(monkeypatch, capsys):
     # shape 2,1 has 5 states (the partitions inside it) of 2 + 200 row scans each
     argv = ["kostka", "--shape", "2,1", "--weight", "1,1,1"]
@@ -317,6 +325,22 @@ def test_a_second_run_in_one_process_keeps_almost_nothing(argv):
     finally:
         tracemalloc.stop()
     assert sizes[1] - sizes[0] < 64 * 1024, sizes
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+def test_a_table_of_entries_writes_its_expanded_rows(fmt):
+    # orbits writes each row's classification as an index into its table of
+    # entries; tsv and pretty must write the same text as for the full rows
+    table = [(True, None), (False, "long entry text"), (None, 12345)]
+    rows = [("a" * (k % 4), k, k % 3) for k in range(10)]
+    texts = []
+    for records in (cli.Records(["x", "n", "b", "s"], rows, table),
+                    cli.Records(["x", "n", "b", "s"], [(*r[:-1], *table[r[-1]]) for r in rows])):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli._output(argparse.Namespace(format=fmt), {}, records)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1] and "long entry text" in texts[0]
 
 
 def test_orbits_holds_label_text_per_codim_bucket():

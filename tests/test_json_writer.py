@@ -373,6 +373,25 @@ def test_without_the_c_encoder_the_same_bytes_are_written(monkeypatch, size):
                "pairs": edge_rows(size, 2)}), indent=2)
 
 
+TABLE = [(True, None, "x"), (False, 2**70, "\x00,["), (None, -(2**63), [1, {"a": 2**64}]),
+         (1, "é\u2028", {})]
+
+
+@pytest.mark.parametrize("size", TABLE_SIZES)
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_records_with_a_table_are_written_as_their_expanded_rows(monkeypatch, size, width):
+    header = [f"k{c}" for c in range(width + 3)]
+    rows = [(*row, r % len(TABLE)) for r, row in enumerate(edge_rows(size, width))]
+    expanded = [(*row[:-1], *TABLE[row[-1]]) for row in rows]
+    assert list(Records(header, rows, TABLE)) == [dict(zip(header, r)) for r in expanded]
+    expected = json.dumps(_held({"rows": _Table(header, expanded)}), indent=2)
+    assert written({"rows": Records(header, rows, TABLE)}) == expected
+    assert written([Records(header, iter(rows), TABLE)]) == json.dumps(
+        _held([_Table(header, expanded)]), indent=2)
+    monkeypatch.setattr(_util, "_encode_flat", None)
+    assert written({"rows": Records(header, rows, TABLE)}) == expected
+
+
 @pytest.mark.parametrize("argv", [["orbits", "--n", "5"], ["stalks", "--n", "6"],
                                   ["fano", "--n", "8", "--i", "4"], ["euler", "--n", "20"]],
                          ids=" ".join)

@@ -125,6 +125,15 @@ def test_serialize_parse_round_trip():
         P.parse("2,x")
 
 
+@pytest.mark.parametrize("text", ["1_0", "+10", "-3", "\u0663", "3,+2", "2,1_0", "3,,2", "3,", "0x3"])
+def test_parse_reads_only_ascii_digits(text):
+    # int() reads "1_0" as 10, "+10" as 10 and an Arabic-Indic three as 3, none
+    # of which serialize writes back
+    with pytest.raises(ValueError, match="malformed partition"):
+        P.parse(text)
+    assert P.parse(" 3, 2 ,1") == P((3, 2, 1)) and P.parse("10") == P((10,))
+
+
 def test_partition_count_sanity():
     assert len(all_partitions(7)) == 15  # p(7)
 
@@ -152,7 +161,7 @@ def test_runs_are_well_formed_and_in_the_oracle_order():
         every = _recursive_partitions(n)
         for cap in range(-1, n + 2):
             got = []
-            for runs in _runs_of(n, cap):
+            for runs, _ in _runs_of(n, cap):
                 parts, above = [], n + 1
                 for v, m in runs:  # values strictly descending, multiplicities >= 1
                     assert 0 < v < above and m >= 1, (n, cap, runs)
@@ -168,9 +177,9 @@ def test_orbit_rows_match_the_partition_functions():
     for n in range(19):  # through the benchmark's orbits --n 18
         expected = [(p.serialize(), orbit_dim(OrbitLabel(n, p)), dim_centralizer(p),
                      *_classify(p.parts)) for p in partitions_of(2 * n + 1)]
-        count, rows = _orbit_rows(2 * n + 1)
+        count, table, rows = _orbit_rows(2 * n + 1)
         assert count == len(expected), n
-        assert list(rows) == sorted(expected, key=itemgetter(2)), n
+        assert [(*row[:-1], *table[row[-1]]) for row in rows] == sorted(expected, key=itemgetter(2)), n
 
 
 def test_orbit_classifications_fit_a_byte_at_the_rank_limit():
@@ -178,8 +187,37 @@ def test_orbit_classifications_fit_a_byte_at_the_rank_limit():
     # index into the distinct tuples; a 257th would raise ValueError, which
     # cli.main would report as a usage error
     weight = 2 * cli.MAX_ORBITS_RANK + 1
-    distinct = {_classify_runs(runs, weight) for runs in _runs_of(weight, weight)}
+    distinct = {_classify_runs(runs, weight) for runs, _ in _runs_of(weight, weight)}
     assert len(distinct) < 256, len(distinct)
+
+
+def test_each_step_keeps_the_runs_it_says_it_keeps():
+    for n in range(31):
+        for cap in range(-1, n + 2):
+            before = None
+            for runs, keep in _runs_of(n, cap):
+                runs = [list(r) for r in runs]  # the walk changes its list in place
+                if before is None:
+                    assert keep == 0, (n, cap)
+                else:
+                    assert runs[:keep] == before[:keep], (n, cap, before, runs, keep)
+                    # and no more: run keep is the one the step took a copy off
+                    assert keep < len(before) and runs[keep:keep + 1] != before[keep:keep + 1], (
+                        n, cap, before, runs, keep)
+                before = runs
+
+
+def test_orbit_rows_at_the_rank_limit_match_the_runs_and_dim_centralizer():
+    # every row of the largest accepted table against the whole-partition functions:
+    # the per-run states _orbit_rows extends past keep must give each partition's codim
+    # and classification as if it were read from its first run
+    weight = 2 * cli.MAX_ORBITS_RANK + 1
+    count, table, rows = _orbit_rows(weight)
+    got = {label: (codim, table[k]) for label, _, codim, k in rows}
+    assert count == len(got) == 89134
+    for runs, _ in _runs_of(weight, weight):
+        p = Partition._trusted(tuple(v for v, m in runs for _ in range(m)))
+        assert got[p.serialize()] == (dim_centralizer(p), _classify_runs(runs, weight)), p
 
 
 def test_partitions_of_a_long_column_needs_no_recursion():
