@@ -1,4 +1,4 @@
-"""Small shared helpers, and the streaming JSON writer write_json.
+"""Small shared helpers, and the streaming writers write_json, write_tsv and write_pretty.
 
 write_json writes what json.dumps(doc, indent=2) writes, with one rule
 added: an int outside the signed 64-bit range is written as its decimal
@@ -8,7 +8,7 @@ exact type str, int, bool or None to _flat_text, which encodes the batch in
 one call of the stdlib's C encoder, and writes everything else value by
 value (_scalar); both write the same bytes.  The entries of a Records'
 table are written once each, and spliced in after the values of each row
-that indexes them.
+that indexes them; so too by write_tsv and write_pretty, from the cells _cell writes.
 """
 
 import itertools
@@ -60,6 +60,38 @@ def write_lines(lines, write) -> None:
         write("".join(pending))
 
 
+def _cell(v) -> str:
+    """Text of one tsv or pretty cell: None is empty, bools read true/false."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def write_tsv(table, write) -> None:
+    """Write the Records table through write_lines as tab-separated lines."""
+    if table.table is None:
+        lines = ("\t".join(map(_cell, r)) + "\n" for r in table.rows)
+    else:  # each entry's cells joined once
+        ends = ["".join("\t" + _cell(v) for v in e) + "\n" for e in table.table]
+        lines = ("\t".join(map(_cell, r[:-1])) + ends[r[-1]] for r in table.rows)
+    write_lines(itertools.chain(["\t".join(table.header) + "\n"], lines), write)
+
+
+def write_pretty(table, write) -> None:
+    """Write the Records table through write_lines in columns aligned by two spaces."""
+    if table.table is None:
+        cells = (tuple(map(_cell, r)) for r in table.rows)
+    else:  # each entry's cells made once
+        ends = [tuple(map(_cell, e)) for e in table.table]
+        cells = (tuple(map(_cell, r[:-1])) + ends[r[-1]] for r in table.rows)
+    cells = [tuple(table.header), *cells]  # every cell, for the widths, but never the text
+    widths = [max(len(r[c]) for r in cells) for c in range(len(table.header))]
+    write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
+                 for r in cells), write)
+
+
 def _int_text(v, text):
     """text, the decimal text of the int v, as a JSON string if v lies outside
     the signed 64-bit range [-2^63, 2^63), so that every reader gets it exactly."""
@@ -100,10 +132,11 @@ class Records(Iterator):
         self.header, self.rows, self.table = list(header), iter(rows), table
 
     def __next__(self):
-        row = next(self.rows)
-        if self.table is not None:
-            row = (*row[:-1], *self.table[row[-1]])
-        return dict(zip(self.header, row))
+        return dict(zip(self.header, self._expand(next(self.rows))))
+
+    def _expand(self, row):
+        """row, with its index into table, if any, replaced by that entry."""
+        return row if self.table is None else (*row[:-1], *self.table[row[-1]])
 
 
 def _flat_text(batch, heads, opening, closing, closings=None):
@@ -158,23 +191,23 @@ def _pieces(value, indent):
     if isinstance(value, dict):
         items, sep, closing = zip((f"{inner}{_encode_str(k)}: " for k in value), value.values()), "{", "}"
     elif type(value) is Records or type(value) in _SEQUENCES or isinstance(value, Iterator):
-        sep, closing = "[", "]"
-        members = closings = None
+        sep, closing, closings = "[", "]", None
         if type(value) is Records:  # not isinstance: an ABC's check would slow every list
             keys, rows, edges = [f"{inner}  {_encode_str(k)}: " for k in value.header], value.rows, "{}"
-            if value.table is not None:  # each entry's members, written once
-                lead = len(keys) - (len(value.table[0]) if value.table else 0)
-                members = [[k + (_scalar(v) or "".join(_pieces(v, inner + "  ")))
-                            for k, v in zip(keys[lead:], entry)] for entry in value.table]
-                keys = keys[:lead]
-                closings = ["".join("," + m for m in ms) + inner + "}" for ms in members]
+            heads = keys
+            if value.table is not None:  # each entry written once, as the closing of its rows
+                heads = keys[:len(keys) - (len(value.table[0]) if value.table else 0)]
+                closings = ["".join("," + k + (_scalar(v) or "".join(_pieces(v, inner + "  ")))
+                                    for k, v in zip(keys[len(heads):], entry)) + inner + "}"
+                            for entry in value.table]
         else:
             keys, rows, edges = None, iter(value), "[]"
         for row in rows:
             batch = [row]
             if type(row) in _SEQUENCES and _FLAT_SCALARS.issuperset(map(type, row)):
                 batch += itertools.islice(rows, _ROWS_PER_BATCH - 1)
-                heads = keys if keys is not None else [inner + "  "] * len(row)
+                if keys is None:
+                    heads = [inner + "  "] * len(row)
                 text = _flat_text(batch, heads, inner + edges[0], inner + edges[1], closings)
                 if text is not None:
                     yield sep + text
@@ -186,10 +219,8 @@ def _pieces(value, indent):
             items = zip(itertools.repeat(inner), rows)
         else:  # each row one object, from the keys' texts
             items = ()
-            for row in rows:
+            for row in map(value._expand, rows):
                 texts = [k + (_scalar(v) or "".join(_pieces(v, inner + "  "))) for k, v in zip(keys, row)]
-                if members is not None:
-                    texts += members[row[-1]]
                 yield f"{sep}{inner}{{{','.join(texts)}{inner}}}" if texts else sep + inner + "{}"
                 sep = ","
     else:

@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands: orbits, stalks, fano, kostka, euler, ft-table, verify.  Every
-subcommand takes --format {pretty,json,tsv} (default pretty).  Output is
-deterministic: no timestamps, fixed row and field order.  JSON integers that
-do not fit in 64 bits are written as decimal strings by _util.write_json;
-Laurent-polynomial coefficients are always decimal strings.
+subcommand takes --format {pretty,json,tsv} (default pretty), which _util
+writes (write_json, write_tsv, write_pretty) with no timestamps and fixed row
+and field order.  This module keeps the commands, the parser and main.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 74 stdout
 cannot be written (EX_IOERR: a full disk, a closed fd), 141 stdout closed by
@@ -23,27 +22,15 @@ import itertools
 import os
 import sys
 
-from ._util import Records, write_json, write_lines
-
-
-def _cell(v) -> str:
-    """Text of one tsv or pretty cell: None is empty, bools read true/false."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+from ._util import Records, write_json, write_pretty, write_tsv
 
 
 def _output(args, doc, table=None, pretty=None) -> None:
     """Write the command's result to stdout in args.format: json writes doc,
     tsv and pretty write table, a Records that defaults to doc["rows"], and
     pretty, when given, is the whole pretty text in place of the aligned
-    table.  Every format goes through _util.write_lines in writes of about
-    _BATCH (64 KiB) characters as its rows are consumed; the aligned table
-    holds every cell, for its column widths, but never the whole text.
-    stdout is flushed at the end, so that a closed pipe or a full disk shows
-    while main can still catch it.
+    table.  stdout is flushed at the end, so that a closed pipe or a full
+    disk shows while main can still catch it.
     """
     if sys.stdout is None:  # started with fd 1 closed
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -53,25 +40,8 @@ def _output(args, doc, table=None, pretty=None) -> None:
     elif args.format == "pretty" and pretty is not None:
         sys.stdout.write(pretty)
     else:
-        table = doc["rows"] if table is None else table
-        rows, ends = table.rows, table.table
-        if args.format == "tsv":
-            if ends is None:
-                lines = ("\t".join(map(_cell, r)) + "\n" for r in rows)
-            else:  # each entry's cells joined once
-                ends = ["".join("\t" + _cell(v) for v in e) + "\n" for e in ends]
-                lines = ("\t".join(map(_cell, r[:-1])) + ends[r[-1]] for r in rows)
-            write_lines(itertools.chain(["\t".join(table.header) + "\n"], lines), sys.stdout.write)
-        else:
-            if ends is None:
-                cells = (tuple(map(_cell, r)) for r in rows)
-            else:  # each entry's cells made once
-                ends = [tuple(map(_cell, e)) for e in ends]
-                cells = (tuple(map(_cell, r[:-1])) + ends[r[-1]] for r in rows)
-            cells = [tuple(table.header), *cells]
-            widths = [max(len(r[c]) for r in cells) for c in range(len(table.header))]
-            write_lines(("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
-                         for r in cells), sys.stdout.write)
+        write = write_tsv if args.format == "tsv" else write_pretty
+        write(doc["rows"] if table is None else table, sys.stdout.write)
     sys.stdout.flush()
 
 
@@ -327,14 +297,13 @@ def main(argv=None) -> int:
         return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
-    except BrokenPipeError:  # stdout's reader left: what is still buffered goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except OSError as exc:  # stdout cannot take the output, as on a full disk
-        sys.stderr.write(f"springerq: error: cannot write output: {exc.strerror}\n")
-        if sys.stdout is not None:  # the interpreter's last flush goes to devnull
+    except OSError as exc:  # stdout's reader left (141), or it cannot take the output (74)
+        broken = isinstance(exc, BrokenPipeError)
+        if not broken:
+            sys.stderr.write(f"springerq: error: cannot write output: {exc.strerror}\n")
+        if sys.stdout is not None:  # what is still buffered goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 74
+        return 141 if broken else 74
 
 
 if __name__ == "__main__":

@@ -91,13 +91,13 @@ class Partition(Record):
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Inverse of serialize; non-descending input is rejected, not sorted.
-        Each comma-separated token, once stripped, must be ASCII digits: int()
-        would also read signs, underscores and other scripts' digits."""
+        Each comma-separated token, once stripped, must be ASCII digits with no
+        leading 0: int() would also read signs, underscores, other scripts' digits and "03"."""
         text = text.strip()
         if not text:
             return cls()
         tokens = [tok.strip() for tok in text.split(",")]
-        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        if not all(tok == "0" or tok.isascii() and tok.isdigit() and tok[0] != "0" for tok in tokens):
             raise ValueError(f"malformed partition {text!r}")
         return cls(tuple(map(int, tokens)))
 

@@ -184,7 +184,8 @@ def test_kostka_refuses_costly_input_with_exit_2(capsys):
     assert str(MAX_KOSTKA_COST) in err
 
 
-@pytest.mark.parametrize("shape, weight", [("1_0", "+10"), ("10", "+10"), ("\u0663", "2,1")])
+@pytest.mark.parametrize("shape, weight", [("1_0", "+10"), ("10", "+10"), ("\u0663", "2,1"),
+                                           ("00003", "3")])
 def test_kostka_refuses_a_partition_that_is_not_ascii_digits(shape, weight, capsys):
     # int() would read each of these, and "shape" would print as a different text
     assert run_cli(["kostka", "--shape", shape, "--weight", weight]) == (2, "")

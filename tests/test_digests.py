@@ -18,10 +18,18 @@ from springerq.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 FORMATS = ("json", "tsv", "pretty")
+PARTITIONS_OF_6 = ["6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "3,1,1,1", "2,2,2", "2,2,1,1",
+                   "2,1,1,1,1", "1,1,1,1,1,1"]
 ARGVS = ([f"verify --n-max {n} --format {fmt}" for n in range(1, 15) for fmt in FORMATS]
          + [f"stalks --n {n}{check} --format {fmt}" for n in range(1, 8)
             for check in ("", " --check") for fmt in FORMATS]
-         + [f"orbits --n {n} --format {fmt}" for n in range(1, 10) for fmt in FORMATS])
+         + [f"orbits --n {n} --format {fmt}" for n in range(1, 10) for fmt in FORMATS]
+         + [f"fano --n {n} --i {i} --format {fmt}" for n in range(1, 8) for i in range(1, n + 2)
+            for fmt in FORMATS]
+         + [f"{cmd} --n {n} --format {fmt}" for cmd in ("euler", "ft-table") for n in range(1, 8)
+            for fmt in FORMATS]
+         + [f"kostka --shape {shape} --weight {weight} --format {fmt}"
+            for shape in PARTITIONS_OF_6 for weight in PARTITIONS_OF_6 for fmt in FORMATS])
 
 
 def digest(argv):
@@ -44,7 +52,7 @@ def pinned():
 
 
 def test_the_digests_pin_exactly_these_argvs(pinned):
-    assert len(ARGVS) == 111 and list(pinned) == ARGVS
+    assert len(ARGVS) == 621 and list(pinned) == ARGVS
 
 
 @pytest.mark.parametrize("argv", ARGVS)

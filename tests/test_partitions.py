@@ -125,13 +125,16 @@ def test_serialize_parse_round_trip():
         P.parse("2,x")
 
 
-@pytest.mark.parametrize("text", ["1_0", "+10", "-3", "\u0663", "3,+2", "2,1_0", "3,,2", "3,", "0x3"])
+@pytest.mark.parametrize("text", ["1_0", "+10", "-3", "\u0663", "3,+2", "2,1_0", "3,,2", "3,", "0x3",
+                                  "00003", "03", "3,01", "00"])
 def test_parse_reads_only_ascii_digits(text):
-    # int() reads "1_0" as 10, "+10" as 10 and an Arabic-Indic three as 3, none
-    # of which serialize writes back
+    # int() reads "1_0" as 10, "+10" as 10, an Arabic-Indic three as 3 and
+    # "03" as 3, none of which serialize writes back
     with pytest.raises(ValueError, match="malformed partition"):
         P.parse(text)
     assert P.parse(" 3, 2 ,1") == P((3, 2, 1)) and P.parse("10") == P((10,))
+    with pytest.raises(ValueError, match="parts must be positive integers"):
+        P.parse("0")
 
 
 def test_partition_count_sanity():
