@@ -47,15 +47,15 @@ def _output(args, doc, table=None, pretty=None) -> None:
 
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
-# orbits --n 22 lists p(45) = 89134 rows (cold, 2-vCPU VM: 0.35 s and 18 MB as JSON,
-# 0.37 s and 18 MB as tsv, 0.51 s and 45 MB as pretty); p(47) = 124754
+# orbits --n 22 lists p(45) = 89134 rows (cold medians, 2-vCPU VM: 0.18 s and 18 MB as
+# JSON, 0.15 s and 18 MB as tsv, 0.20 s and 25 MB as pretty); p(47) = 124754
 MAX_ORBITS_RANK = 22
 
 
 def _cmd_orbits(args) -> int:
     from .partitions import _orbit_rows
-    count, table, rows = _orbit_rows(2 * args.n + 1)
-    _output(args, {"n": args.n, "count": count, "rows": Records(_ORBIT_FIELDS, rows, table)})
+    count, table, blocks = _orbit_rows(2 * args.n + 1)
+    _output(args, {"n": args.n, "count": count, "rows": Records(_ORBIT_FIELDS, blocks, table)})
     return 0
 
 

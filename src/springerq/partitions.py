@@ -10,14 +10,14 @@ the one-step branching of resolution fibers, and the fiber-dimension bound
 they produce, all without recursion.
 
 One enumerator, _runs_of, walks partitions as (value, multiplicity) runs
-(Knuth, TAOCP 4A, 7.2.1.4) and says how many leading runs each step kept:
-partitions_of expands the runs, and _orbit_rows extends a per-run state only
-past the kept runs, filing each partition's label text and classification
-index in byte buckets by codim in one pass and making the table's rows as
-they are consumed.  The one classification rule, _classify_summary, reads a
-summary of the runs (their count, the largest part, the number of odd parts
-and whether an odd part follows an even one), which _classify_runs and
-_orbit_rows each compute.
+(Knuth, TAOCP 4A, 7.2.1.4), and partitions_of expands them.  _orbit_rows
+walks only the prefixes made of parts >= 3 and fills each prefix's tails
+2^a 1^b in closed form, filing each partition's label text and
+classification index in byte buckets by codim in one pass, and decodes one
+bucket at a time as a block of rows.  The one classification rule,
+_classify_summary, reads a summary of the runs (their count, the largest
+part, the number of odd parts and whether an odd part follows an even one),
+which _classify_runs and _orbit_rows each compute.
 
 A partition of odd weight 2n+1 always has an odd number of odd parts; the
 template predicates below exploit this.
@@ -136,37 +136,33 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             raise TypeError(f"weight and max_part must be ints, got {x!r}")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    for runs, _ in _runs_of(n, cap):
+    for runs in _runs_of(n, cap):
         yield Partition._trusted(tuple(itertools.chain.from_iterable([v] * m for v, m in runs)))
 
 
-def _runs_of(n: int, cap: int) -> Iterator[tuple[list[list[int]], int]]:
-    """(runs, keep) for each partition of n >= 0 with no part over cap, in
-    partitions_of's order: runs are its [value, multiplicity] runs, largest
-    value first, and the first keep of them are those of the partition
-    yielded before (keep is 0 for the first).
+def _runs_of(n: int, cap: int) -> Iterator[list[list[int]]]:
+    """The [value, multiplicity] runs, largest value first, of each partition
+    of n >= 0 with no part over cap, in partitions_of's order.
 
     One list of runs is yielded each time and changed in place between
     yields, so a caller copies what must outlive the next step.  A step
-    drops the run of 1s, takes one copy off the smallest run left, which is
-    run keep, and refills greedily with copies of its value - 1 and a
-    remainder; the runs before it stay as they are.
+    drops the run of 1s, takes one copy off the smallest run left and
+    refills greedily with copies of its value - 1 and a remainder.
     """
     if n == 0:
-        yield [], 0
+        yield []
         return
-    runs, rest, top, keep = [], n, min(cap, n), 0
+    runs, rest, top = [], n, min(cap, n)
     while top >= 1:  # false at once for cap < 1; a step leaves top >= 1
         copies, rest = divmod(rest, top)
         runs.append([top, copies])
         if rest:
             runs.append([rest, 1])
-        yield runs, keep
+        yield runs
         rest = runs.pop()[1] if runs[-1][0] == 1 else 0
         if not runs:
             return
         top, copies = runs.pop()
-        keep = len(runs)
         if copies > 1:
             runs.append([top, copies - 1])
         rest += top
@@ -174,48 +170,57 @@ def _runs_of(n: int, cap: int) -> Iterator[tuple[list[list[int]], int]]:
 
 
 def _orbit_rows(weight: int) -> tuple[int, list[tuple], Iterator[tuple]]:
-    """(count, table, rows) of the orbits table of an odd weight = 2n+1:
+    """(count, table, blocks) of the orbits table of an odd weight = 2n+1:
     table lists the distinct _classify_summary tuples (26 at weight 45), and
-    the rows (label, dim, codim, k), with table[k] the row's classification,
-    come by codim, ties in partitions_of's order.
+    each block (labels, (dim, codim), kinds) holds the rows of one nonempty
+    codim, in partitions_of's order, with table[kinds[i]] the classification
+    of labels[i]; the blocks come by codim, with dim = n(2n+1) - codim.
 
-    One pass over _runs_of keeps a state per leading run: codim (a run of m
-    parts v after r parts adds v (m r + m (m-1)/2) to dim_centralizer =
-    sum_i (i-1) p_i), the parts, label text and odd parts so far, and
-    whether an odd part followed an even one.  Each step drops the states
-    past keep and extends only the runs after them, and the rule runs once
-    per distinct summary.  A codim's bucket is two bytearrays: its labels'
-    text, each ended by a newline, and one byte per label holding k.  rows
-    decodes one bucket at a time and makes each row, with dim = n(2n+1) -
-    codim, as it is consumed."""
+    An explicit stack walks the prefixes made of parts >= 3 in partitions_of's
+    order, each prefix's extensions before its own tails 2^a 1^b, a = r//2
+    down to 0, b = r - 2a, for its remainder r.  A state holds a prefix's
+    codim (a run of m parts v after p parts adds v (m p + m (m-1)/2) to
+    dim_centralizer = sum_i (i-1) p_i), its number of parts p, label text,
+    number of runs and of odd parts, first and last part, and whether an odd
+    part followed an even one; a tail then adds p r + a(a-1) + a b + b(b-1)/2
+    to the codim, and its 1s come late after its 2s or after an even part of
+    the prefix.  A codim's bucket is two bytearrays: its labels' text, each
+    ended by a newline, and one byte per label holding k.  blocks decodes one
+    bucket at a time, as it is consumed."""
     top = weight * (weight - 1) // 2
     text = [b"%d," % v for v in range(weight + 1)]
+    twos, ones = [b"2," * a for a in range(weight // 2 + 1)], [b"1," * b for b in range(weight + 1)]
     labels = [bytearray() for _ in range(top + 1)]
     kinds = [bytearray() for _ in range(top + 1)]
     classes, index = {}, {}
-    states = [(0, 0, b"", 0, False)]
-    for runs, keep in _runs_of(weight, weight):
-        del states[keep + 1:]
-        codim, before, label, odds, late = states[-1]
-        for v, m in runs[keep:]:
-            codim += v * (m * before + m * (m - 1) // 2)
-            if v & 1:
-                late = late or before > odds  # an even part came before
-                odds += m
-            before += m
-            label += text[v] * m
-            states.append((codim, before, label, odds, late))
-        summary = len(runs), runs[0][0], odds, late
-        k = index.get(summary)
-        if k is None:
-            k = index[summary] = classes.setdefault(_classify_summary(*summary, weight), len(classes))
-        bucket = labels[codim]
-        bucket += label
-        bucket[-1] = 10  # the last part's comma becomes the label's newline
-        kinds[codim].append(k)
-    rows = ((label, top - codim, codim, k) for codim in range(top + 1)
-            for label, k in zip(labels[codim].decode().splitlines(), kinds[codim]))
-    return sum(map(len, kinds)), list(classes), rows
+    stack = [(False, 0, 0, b"", 0, 0, 0, weight + 1, weight, False)]  # the empty prefix
+    while stack:
+        tails, codim, before, label, runs, odds, first, last, rest, late = state = stack.pop()
+        if not tails:  # the extensions by v = last .. 3, largest on top, above this prefix's tails
+            stack.append((True, *state[1:]))
+            for v in range(3, min(last, rest) + 1):
+                stack.append((False, codim + v * before, before + 1, label + text[v],
+                              runs + (v != last), odds + v % 2, first or v, v, rest - v,
+                              late or before > odds and v % 2 == 1))
+            continue
+        even = before > odds
+        for a in range(rest // 2, -1, -1):
+            b = rest - 2 * a
+            summary = (runs + (a > 0) + (b > 0), first or 2 - (a == 0), odds + b,
+                       late or b > 0 and (a > 0 or even))
+            k = index.get(summary)
+            if k is None:
+                k = index[summary] = classes.setdefault(_classify_summary(*summary, weight), len(classes))
+            c = codim + before * rest + a * (a - 1) + a * b + b * (b - 1) // 2
+            bucket = labels[c]
+            bucket += label
+            bucket += twos[a]
+            bucket += ones[b]
+            bucket[-1] = 10  # the last part's comma becomes the label's newline
+            kinds[c].append(k)
+    blocks = ((labels[c].decode().splitlines(), (top - c, c), kinds[c])
+              for c in range(top + 1) if kinds[c])
+    return sum(map(len, kinds)), list(classes), blocks
 
 
 def conjugate(p: Partition) -> Partition:

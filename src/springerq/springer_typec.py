@@ -57,8 +57,12 @@ def kostka(shape: Partition, weight: Partition) -> int:
 
 def _strips(lam: tuple[int, ...], nu: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
     """Every kappa inside lam such that kappa/nu is a horizontal strip of m cells: row r
-    grows to at most min(lam_r, nu_(r-1)), by at least what the later rows cannot hold."""
+    grows to at most min(lam_r, nu_(r-1)), by at least what the later rows cannot hold.
+    One cell (m = 1) goes on the first row of a run of base, the addable corners, inside lam."""
     base = nu + (0,) * (len(nu) < len(lam))
+    if m == 1:
+        return [base[:r] + (base[r] + 1,) + nu[r + 1:] for r in map(base.index, dict.fromkeys(base))
+                if base[r] < lam[r]]
     caps = [(top if top < up else up) - v for top, up, v in zip(lam, lam[:1] + base, base)]
     room, partial = sum(caps), [(base, m)]  # shape so far, cells left to place
     for r in compress(range(len(caps)), caps):

@@ -330,13 +330,17 @@ def test_a_second_run_in_one_process_keeps_almost_nothing(argv):
 
 @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
 def test_a_table_of_entries_writes_its_expanded_rows(fmt):
-    # orbits writes each row's classification as an index into its table of
-    # entries; tsv and pretty must write the same text as for the full rows
-    table = [(True, None), (False, "long entry text"), (None, 12345)]
-    rows = [("a" * (k % 4), k, k % 3) for k in range(10)]
+    # orbits writes its rows in blocks (labels, values, kinds), each kind an
+    # index into its table of entries; tsv and pretty must write the same text
+    # as for the full rows, a row with only empty cells after its label included
+    table = [(True, None), (False, "long entry text"), (None, 12345), (None, None)]
+    blocks = [(["a" * (k % 4) + " " * (k % 2) for k in range(b, b + 3)], (None if b % 2 else b,),
+               bytes(k % 4 for k in range(b, b + 3))) for b in range(0, 12, 3)]
+    expanded = [(label, *values, *table[k]) for labels, values, kinds in blocks
+                for label, k in zip(labels, kinds)]
     texts = []
-    for records in (cli.Records(["x", "n", "b", "s"], rows, table),
-                    cli.Records(["x", "n", "b", "s"], [(*r[:-1], *table[r[-1]]) for r in rows])):
+    for records in (cli.Records(["x", "n", "b", "s"], blocks, table),
+                    cli.Records(["x", "n", "b", "s"], expanded)):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             cli._output(argparse.Namespace(format=fmt), {}, records)

@@ -97,6 +97,19 @@ def test_betti_palindromic():
             assert all(poly[k] == poly[2 * mid - k] for k in range(2 * mid + 1)), (n, i)
 
 
+def test_betti_numbers_satisfy_hard_lefschetz():
+    # derived, not observed: the variety of (i-1)-planes is smooth and projective
+    # (Reid 1972) of complex dimension 2h, h = i(n-i), so Poincare duality makes
+    # b_0 .. b_4h palindromic and hard Lefschetz makes them rise to the middle
+    for n in range(1, 31):
+        for i in range(1, n + 1):
+            poly, h = fano_betti_poly(n, i), i * (n - i)
+            assert poly.min_exp == 0 and poly.max_exp == 2 * h, (n, i)
+            betti = poly.coefficients(0, 2 * h + 1)
+            assert betti == betti[::-1], (n, i)
+            assert all(a <= b for a, b in zip(betti[:h], betti[1:h + 1])), (n, i)
+
+
 def test_middle_betti_of_the_intersection_itself():
     # i = 1: the intersection of the two quadrics has middle Betti number 2n+2
     for n in range(2, 9):

@@ -380,16 +380,23 @@ TABLE = [(True, None, "x"), (False, 2**70, "\x00,["), (None, -(2**63), [1, {"a":
 @pytest.mark.parametrize("size", TABLE_SIZES)
 @pytest.mark.parametrize("width", [0, 1, 3])
 def test_records_with_a_table_are_written_as_their_expanded_rows(monkeypatch, size, width):
-    header = [f"k{c}" for c in range(width + 3)]
-    rows = [(*row, r % len(TABLE)) for r, row in enumerate(edge_rows(size, width))]
-    expanded = [(*row[:-1], *TABLE[row[-1]]) for row in rows]
-    assert list(Records(header, rows, TABLE)) == [dict(zip(header, r)) for r in expanded]
+    # size blocks of 1 to 5 rows, each with a row of edge values and edge-string labels
+    header = [f"k{c}" for c in range(width + 4)]
+    blocks, r = [], 0
+    for b, values in enumerate(edge_rows(size, width)):
+        rows = range(r, r + b % 5 + 1)
+        blocks.append(([EDGE_STRS[i % len(EDGE_STRS)] for i in rows], tuple(values),
+                       bytes(i % len(TABLE) for i in rows)))
+        r = rows.stop
+    expanded = [(label, *values, *TABLE[k]) for labels, values, kinds in blocks
+                for label, k in zip(labels, kinds)]
+    assert list(Records(header, blocks, TABLE)) == [dict(zip(header, r)) for r in expanded]
     expected = json.dumps(_held({"rows": _Table(header, expanded)}), indent=2)
-    assert written({"rows": Records(header, rows, TABLE)}) == expected
-    assert written([Records(header, iter(rows), TABLE)]) == json.dumps(
+    assert written({"rows": Records(header, blocks, TABLE)}) == expected
+    assert written([Records(header, iter(blocks), TABLE)]) == json.dumps(
         _held([_Table(header, expanded)]), indent=2)
     monkeypatch.setattr(_util, "_encode_flat", None)
-    assert written({"rows": Records(header, rows, TABLE)}) == expected
+    assert written({"rows": Records(header, blocks, TABLE)}) == expected
 
 
 @pytest.mark.parametrize("argv", [["orbits", "--n", "5"], ["stalks", "--n", "6"],

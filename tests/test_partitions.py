@@ -164,7 +164,7 @@ def test_runs_are_well_formed_and_in_the_oracle_order():
         every = _recursive_partitions(n)
         for cap in range(-1, n + 2):
             got = []
-            for runs, _ in _runs_of(n, cap):
+            for runs in _runs_of(n, cap):
                 parts, above = [], n + 1
                 for v, m in runs:  # values strictly descending, multiplicities >= 1
                     assert 0 < v < above and m >= 1, (n, cap, runs)
@@ -180,9 +180,10 @@ def test_orbit_rows_match_the_partition_functions():
     for n in range(19):  # through the benchmark's orbits --n 18
         expected = [(p.serialize(), orbit_dim(OrbitLabel(n, p)), dim_centralizer(p),
                      *_classify(p.parts)) for p in partitions_of(2 * n + 1)]
-        count, table, rows = _orbit_rows(2 * n + 1)
+        count, table, blocks = _orbit_rows(2 * n + 1)
         assert count == len(expected), n
-        assert [(*row[:-1], *table[row[-1]]) for row in rows] == sorted(expected, key=itemgetter(2)), n
+        assert [(label, *values, *table[k]) for labels, values, kinds in blocks
+                for label, k in zip(labels, kinds)] == sorted(expected, key=itemgetter(2)), n
 
 
 def test_orbit_classifications_fit_a_byte_at_the_rank_limit():
@@ -190,35 +191,20 @@ def test_orbit_classifications_fit_a_byte_at_the_rank_limit():
     # index into the distinct tuples; a 257th would raise ValueError, which
     # cli.main would report as a usage error
     weight = 2 * cli.MAX_ORBITS_RANK + 1
-    distinct = {_classify_runs(runs, weight) for runs, _ in _runs_of(weight, weight)}
+    distinct = {_classify_runs(runs, weight) for runs in _runs_of(weight, weight)}
     assert len(distinct) < 256, len(distinct)
-
-
-def test_each_step_keeps_the_runs_it_says_it_keeps():
-    for n in range(31):
-        for cap in range(-1, n + 2):
-            before = None
-            for runs, keep in _runs_of(n, cap):
-                runs = [list(r) for r in runs]  # the walk changes its list in place
-                if before is None:
-                    assert keep == 0, (n, cap)
-                else:
-                    assert runs[:keep] == before[:keep], (n, cap, before, runs, keep)
-                    # and no more: run keep is the one the step took a copy off
-                    assert keep < len(before) and runs[keep:keep + 1] != before[keep:keep + 1], (
-                        n, cap, before, runs, keep)
-                before = runs
 
 
 def test_orbit_rows_at_the_rank_limit_match_the_runs_and_dim_centralizer():
     # every row of the largest accepted table against the whole-partition functions:
-    # the per-run states _orbit_rows extends past keep must give each partition's codim
-    # and classification as if it were read from its first run
+    # the prefix states and the closed-form tails of _orbit_rows must give each
+    # partition's codim and classification as if it were read from its runs
     weight = 2 * cli.MAX_ORBITS_RANK + 1
-    count, table, rows = _orbit_rows(weight)
-    got = {label: (codim, table[k]) for label, _, codim, k in rows}
+    count, table, blocks = _orbit_rows(weight)
+    got = {label: (codim, table[k]) for labels, (_, codim), kinds in blocks
+           for label, k in zip(labels, kinds)}
     assert count == len(got) == 89134
-    for runs, _ in _runs_of(weight, weight):
+    for runs in _runs_of(weight, weight):
         p = Partition._trusted(tuple(v for v, m in runs for _ in range(m)))
         assert got[p.serialize()] == (dim_centralizer(p), _classify_runs(runs, weight)), p
 
