@@ -11,13 +11,14 @@ the text of each table entry and of each block's values once.
 """
 
 import itertools
-import json
 import math
 import re
 from collections.abc import Iterator
 
-# the string encoder json.dumps uses with its default ensure_ascii=True
-_encode_str = json.encoder.encode_basestring_ascii
+try:  # json.dumps's string encoder (ensure_ascii=True) and C encoder, from _json as
+    from _json import encode_basestring_ascii as _encode_str, make_encoder as _make_encoder
+except ImportError:  # json.encoder takes them, without loading the json package
+    from json.encoder import encode_basestring_ascii as _encode_str, c_make_encoder as _make_encoder
 _BATCH = 1 << 16  # characters per write
 _ROWS_PER_BATCH = 128  # rows per call of _encode_flat; 512 raised peak RSS by 0.8 MB
 
@@ -26,9 +27,8 @@ def _refuse(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# The C encoder behind json.dumps, writing a flat list of scalars with NUL between their
-# texts (ensure_ascii escapes a NUL in a string); None without the C accelerator.
-_encode_flat = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+# the C encoder, joining the texts of a flat list by NUL (ensure_ascii escapes a NUL in a str)
+_encode_flat = _make_encoder and _make_encoder(
     None, _refuse, _encode_str, None, ": ", "\x00", False, False, False)
 _FLAT_SCALARS = frozenset([str, int, bool, type(None)])
 _SEQUENCES = frozenset([list, tuple])

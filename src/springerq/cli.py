@@ -2,8 +2,9 @@
 
 Subcommands: orbits, stalks, fano, kostka, euler, ft-table, verify.  Every
 subcommand takes --format {pretty,json,tsv} (default pretty), which _util
-writes (write_json, write_tsv, write_pretty) with no timestamps and fixed row
-and field order.  This module keeps the commands, the parser and main.
+writes (write_json, write_tsv, write_pretty; fano's JSON text is fano's own)
+with no timestamps and fixed row and field order.  This module keeps the
+commands, the parser, main and console_main, the process's entry point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 74 stdout
 cannot be written (EX_IOERR: a full disk, a closed fd), 141 stdout closed by
@@ -22,33 +23,33 @@ import itertools
 import os
 import sys
 
-from ._util import Records, write_json, write_pretty, write_tsv
+from ._util import Records, write_json, write_lines, write_pretty, write_tsv
 
 
-def _output(args, doc, table=None, pretty=None) -> None:
-    """Write the command's result to stdout in args.format: json writes doc,
-    tsv and pretty write table, a Records that defaults to doc["rows"], and
-    pretty, when given, is the whole pretty text in place of the aligned
-    table.  stdout is flushed at the end, so that a closed pipe or a full
-    disk shows while main can still catch it.
+def _output(args, doc, table=None, **texts) -> None:
+    """Write the command's result to stdout in args.format: texts[args.format],
+    when given, is the whole text as an iterable of strings; else json writes
+    doc, and tsv and pretty write table, a Records that defaults to
+    doc["rows"].  stdout is flushed at the end, so that a closed pipe or a
+    full disk shows while main can still catch it.
     """
     if sys.stdout is None:  # started with fd 1 closed
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    if args.format == "json":
-        write_json(doc, sys.stdout.write)
-        sys.stdout.write("\n")
-    elif args.format == "pretty" and pretty is not None:
-        sys.stdout.write(pretty)
+    write = sys.stdout.write
+    if args.format in texts:
+        write_lines(texts[args.format], write)
+    elif args.format == "json":
+        write_json(doc, write)
+        write("\n")
     else:
-        write = write_tsv if args.format == "tsv" else write_pretty
-        write(doc["rows"] if table is None else table, sys.stdout.write)
+        (write_tsv if args.format == "tsv" else write_pretty)(doc["rows"] if table is None else table, write)
     sys.stdout.flush()
 
 
 _ORBIT_FIELDS = ["partition", "dim", "codim", "has_gaps", "is_richardson",
                  "is_relevant", "ft_support", "ft_support_name"]
-# orbits --n 22 lists p(45) = 89134 rows (cold medians, 2-vCPU VM: 0.18 s and 18 MB as
-# JSON, 0.15 s and 18 MB as tsv, 0.20 s and 25 MB as pretty); p(47) = 124754
+# orbits --n 22 lists p(45) = 89134 rows (cold medians, 2-vCPU VM: 0.17 s and 18 MB as
+# JSON, 0.16 s and 18 MB as tsv, 0.22 s and 25 MB as pretty); p(47) = 124754
 MAX_ORBITS_RANK = 22
 
 
@@ -59,9 +60,9 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-# largest accepted rank: stalks --n 42 takes 0.2 s and 26-30 MB peak RSS from
-# the closed forms, and 1.1 s and 39-43 MB with --check, whose solver grows
-# about n^6.8 per rank (JSON or pretty, 2-vCPU VM, Python 3.11)
+# largest accepted rank: stalks --n 42 takes 0.27-0.35 s and 25-29 MB peak RSS
+# from the closed forms, and 1.4-1.5 s and 37-41 MB with --check, whose solver
+# grows about n^7 per rank (pretty and JSON, cold, 2-vCPU VM, Python 3.11)
 MAX_STALKS_RANK = 42
 
 
@@ -86,9 +87,9 @@ def _cmd_stalks(args) -> int:
 # the cost of a fano table: each of its 2i(n-i)+1 rows costs its i+1 term
 # lookups plus about 4 more for writing its JSON object, and each digit of
 # l_dims one more; C(2n+1, j) < (2n+1)^j and < 2^(2n+1) has at most
-# min(j * digits(2n+1), n) digits (on a 2-vCPU VM, fano --n 120 --i 60 costs
-# 475385 and takes about 1.0 s as JSON, fano --n 41666 --i 1 costs 499996 and
-# takes about 1.4 s, fano --n 706 --i 706 costs 499853 and takes about 0.2 s)
+# min(j * digits(2n+1), n) digits (cold, 2-vCPU VM: fano --n 120 --i 60 costs
+# 475385 and takes about 0.2 s as JSON, fano --n 41666 --i 1 costs 499996 and
+# takes about 0.24 s, fano --n 706 --i 706 costs 499853 and takes about 0.09 s)
 MAX_FANO_COST = 500_000
 
 
@@ -101,17 +102,11 @@ def _fano_cost(args):
 
 def _cmd_fano(args) -> int:
     n, i = args.n, args.i
-    from .fano import _l_dims, _rows
+    from .fano import _json_text, _l_dims, _rows
     l_dims = _l_dims(n, i)
-    doc = {
-        "n": n, "i": i, "complex_dim": 2 * i * (n - i), "l_dims": l_dims,
-        "rows": Records(["k", "degree", "terms", "betti"],
-                        ((row.k, 2 * row.k, Records(["j", "mult"], row.terms), row.betti)
-                         for row in _rows(n, i, l_dims))),
-    }
-    _output(args, doc, Records(["k", "degree", "betti", "terms"], (
-        [row.k, 2 * row.k, row.betti, ";".join(f"{j}:{m}" for j, m in row.terms)]
-        for row in _rows(n, i, l_dims))))
+    _output(args, None, Records(["k", "degree", "betti", "terms"], (
+        [k, 2 * k, betti, ";".join(f"{j}:{m}" for j, m in terms)]
+        for k, terms, betti in _rows(n, i, l_dims))), json=_json_text(n, i, l_dims))
     return 0
 
 
@@ -121,12 +116,12 @@ def _cmd_kostka(args) -> int:
     shape, weight = Partition.parse(args.shape), Partition.parse(args.weight)
     value = kostka(shape, weight)
     doc = {"shape": shape.serialize(), "weight": weight.serialize(), "kostka": value}
-    _output(args, doc, Records(doc, [doc.values()]), pretty=f"{value}\n")
+    _output(args, doc, Records(doc, [doc.values()]), pretty=[f"{value}\n"])
     return 0
 
 
-# largest accepted rank: euler --n 600 takes 2.1 s and 17 MB as JSON or tsv
-# and 3.1 s and 89 MB as pretty (2-vCPU VM); about n^3
+# largest accepted rank: euler --n 600 takes 1.4-1.5 s and 15 MB as JSON or tsv
+# and 1.7 s and 86 MB as pretty (cold, 2-vCPU VM); about n^3
 MAX_EULER_RANK = 600
 
 
@@ -140,8 +135,8 @@ def _cmd_euler(args) -> int:
     return 0
 
 
-# largest accepted rank: ft-table --n 1600 takes 1.6-1.9 s in every format,
-# 22 MB as JSON, 17 MB as tsv and 26 MB as pretty (2-vCPU VM); about n^2
+# largest accepted rank: ft-table --n 1600 takes 1.2 s in every format, 21 MB
+# as JSON, 15 MB as tsv and 25 MB as pretty (cold, 2-vCPU VM); about n^2
 MAX_FT_TABLE_RANK = 1600
 
 
@@ -170,7 +165,7 @@ def _first_failure(cases):
     return passed, None
 
 
-# largest accepted rank: verify --n-max 34 takes 3.2 s and 33 MB (2-vCPU VM)
+# largest accepted rank: verify --n-max 34 takes 1.3 s and 31 MB (cold, 2-vCPU VM)
 MAX_VERIFY_RANK = 34
 
 
@@ -195,7 +190,7 @@ def _cmd_verify(args) -> int:
         for name, passed, cases, label in results
     ) + f"{'all suites passed' if ok else 'verification failed'} (n_max={n_max})\n"
     suites = Records(["name", "passed", "cases", "counterexample"], results)
-    _output(args, {"n_max": n_max, "ok": ok, "suites": suites}, suites, pretty=pretty)
+    _output(args, {"n_max": n_max, "ok": ok, "suites": suites}, suites, pretty=[pretty])
     return 0 if ok else 1
 
 
@@ -306,5 +301,20 @@ def main(argv=None) -> int:
         return 141 if broken else 74
 
 
+def console_main():
+    """Run main and end the process with its exit code: the entry point of
+    `python -m springerq` and of the `springerq` script.  stdout and stderr
+    are flushed, and then os._exit skips the interpreter's teardown, so that
+    no atexit handler runs.  Any other exception ends the process as usual."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -9,6 +9,7 @@ numbers, used for cross-checking.
 """
 
 from collections.abc import Iterator
+from itertools import starmap
 
 from . import _EXPORTS
 from .qseries import LaurentPoly
@@ -41,26 +42,48 @@ def _l_dims(n: int, i: int) -> tuple[int, ...]:
     return tuple(binom(2 * n + 1, j) for j in range(i + 1))
 
 
-def _rows(n: int, i: int, l_dims: tuple[int, ...]) -> Iterator[FanoRow]:
-    """The row of each k in [0, 2h], h = i(n-i), made as it is consumed; the
-    M_i(k, j) of row k are the q^(k-h) coefficients of the T^i_j."""
+def _rows(n: int, i: int, l_dims: tuple[int, ...]) -> Iterator[tuple]:
+    """(k, terms, betti) of each k in [0, 2h], h = i(n-i), made as it is
+    consumed: terms holds the pairs (j, M_i(k, j)) with M > 0, the q^(k-h)
+    coefficients of the T^i_j."""
     h = i * (n - i)
     columns = [closed_form_t(n, i, j).coefficients(-h, h + 1) for j in range(i + 1)]
     for k, ms in enumerate(zip(*columns)):
-        terms = tuple((j, m) for j, m in enumerate(ms) if m > 0)
-        yield FanoRow(k, terms, sum(l_dims[j] * m for j, m in terms))
+        terms = tuple([(j, m) for j, m in enumerate(ms) if m > 0])
+        yield k, terms, sum([l_dims[j] * m for j, m in terms])
+
+
+def _json_text(n: int, i: int, l_dims: tuple[int, ...]) -> Iterator[str]:
+    """The text of `springerq fano --format json`, a piece per row: what
+    json.dumps(doc, indent=2) + "\n" writes for its document, but for an int
+    of 2^63 or more, written as its decimal string.  No int in it is
+    negative, and every row has a term (b_(2k) >= b_0 = 1)."""
+    big = 2**63
+
+    def num(v):
+        return str(v) if v < big else f'"{v}"'
+    heads = [f'\n        {{\n          "j": {j},\n          "mult": ' for j in range(i + 1)]
+    yield (f'{{\n  "n": {n},\n  "i": {i},\n  "complex_dim": {2 * i * (n - i)},\n  "l_dims": ['
+           + ",".join(["\n    " + num(d) for d in l_dims]) + '\n  ],\n  "rows": [')
+    opening = "\n    {"
+    for k, terms, betti in _rows(n, i, l_dims):
+        yield (f'{opening}\n      "k": {k},\n      "degree": {2 * k},\n      "terms": ['
+               + "\n        },".join([f"{heads[j]}{m}" if m < big else f'{heads[j]}"{m}"' for j, m in terms])
+               + f'\n        }}\n      ],\n      "betti": {num(betti)}\n    }}')
+        opening = ",\n    {"
+    yield "\n  ]\n}\n"
 
 
 def fano_multiplicities(n: int, i: int) -> FanoCohomology:
     """The table of M_i(k, j) for k in [0, 2i(n-i)], j in [0, i]."""
     l_dims = _l_dims(n, i)
-    return FanoCohomology(n, i, 2 * i * (n - i), tuple(_rows(n, i, l_dims)), l_dims)
+    return FanoCohomology(n, i, 2 * i * (n - i), tuple(starmap(FanoRow, _rows(n, i, l_dims))), l_dims)
 
 
 def fano_betti_poly(n: int, i: int) -> LaurentPoly:
     """sum_k b_{2k} q^k: the Betti column of the rows `springerq fano` prints,
     b_{2k} = sum_j C(2n+1, j) M_i(k, j) from the closed forms of T^i_j."""
-    return LaurentPoly(enumerate(row.betti for row in _rows(n, i, _l_dims(n, i))))
+    return LaurentPoly(enumerate(betti for _, _, betti in _rows(n, i, _l_dims(n, i))))
 
 
 def fano_betti_poly_from_multiplicities(n: int, i: int) -> LaurentPoly:

@@ -555,6 +555,35 @@ def test_cli_runs_as_a_subprocess():
     assert "all suites passed" in proc.stdout
 
 
+def test_a_child_writing_to_a_pipe_writes_every_byte_before_it_exits():
+    # python -m springerq ends through os._exit, after flushing stdout
+    argv = "fano --n 50 --i 25 --format json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "springerq", *argv.split()],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == BENCHMARK_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv, expected", [(["kostka", "--shape", "2,1", "--weight", "1,1,1"], 0),
+                                            (["--help"], 0), (["orbits", "--n", "0"], 2)],
+                         ids=["kostka", "--help", "usage error"])
+def test_python_m_springerq_skips_teardown_so_atexit_handlers_do_not_run(argv, expected):
+    # the contract of the entry point: os._exit skips the interpreter's
+    # teardown; main itself returns, and a caller's atexit handler runs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    at_exit = "import atexit, sys\natexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+    for run, ran in [("import runpy\nrunpy.run_module('springerq', run_name='__main__', alter_sys=True)\n",
+                      False),
+                     ("from springerq.cli import main\nsys.exit(main())\n", True)]:
+        proc = subprocess.run([sys.executable, "-c", at_exit + run, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == expected
+        assert proc.stderr.endswith("atexit ran\n") == ran, proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_a_reader_that_closes_the_pipe_ends_the_command_quietly_with_141(fmt):
     argv = ["orbits", "--n", "14", "--format", fmt]

@@ -2,7 +2,7 @@
 cli.main, gives the exit code, stdout and stderr it was pinned with.
 golden/large_digests.json pins the largest outputs the same way; they take
 about 15 s, so they are replayed only with SPRINGERQ_LARGE_DIGESTS=1 set, as
-CI sets it.
+CI sets it; two of them are replayed again through a python -m springerq child.
 
     PYTHONPATH=src python tests/test_digests.py          # rewrite digests.json
     PYTHONPATH=src python tests/test_digests.py large    # rewrite large_digests.json
@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from springerq.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 LARGE_DIGESTS = Path(__file__).parent / "golden" / "large_digests.json"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 FORMATS = ("json", "tsv", "pretty")
 PARTITIONS_OF_6 = ["6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "3,1,1,1", "2,2,2", "2,2,1,1",
                    "2,1,1,1,1", "1,1,1,1,1,1"]
@@ -83,11 +85,27 @@ def test_output_matches_its_pinned_digest(argv, pinned):
     assert digest(argv) == pinned[argv]
 
 
-@pytest.mark.skipif(not os.environ.get("SPRINGERQ_LARGE_DIGESTS"),
-                    reason="the largest outputs replay only with SPRINGERQ_LARGE_DIGESTS=1")
+large = pytest.mark.skipif(not os.environ.get("SPRINGERQ_LARGE_DIGESTS"),
+                           reason="the largest outputs replay only with SPRINGERQ_LARGE_DIGESTS=1")
+
+
+@large
 @pytest.mark.parametrize("argv", LARGE_ARGVS)
 def test_large_output_matches_its_pinned_digest(argv, pinned_large):
     assert digest(argv) == pinned_large[argv]
+
+
+@large
+@pytest.mark.parametrize("argv", ["fano --n 120 --i 60 --format json", "orbits --n 22 --format json"])
+def test_large_output_of_a_child_on_a_pipe_matches_its_pinned_digest(argv, pinned_large):
+    # python -m springerq ends through os._exit, which skips the interpreter's
+    # teardown: only a real process shows that every byte is written first
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "springerq", *argv.split()],
+                          capture_output=True, env=env, timeout=120)
+    assert {"exit": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "stdout_bytes": len(proc.stdout),
+            "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest()} == pinned_large[argv]
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """Cohomology tables for planes in a smooth intersection of two quadrics."""
 
+import contextlib
+import io
+import json
 import math
+import os
 
 import pytest
 
-from springerq import fano
+from springerq import cli, fano
 from springerq.fano import (
     fano_betti_poly,
     fano_betti_poly_from_multiplicities,
@@ -153,3 +157,28 @@ def test_index_validation(monkeypatch):
         for i in (0, 4):
             with pytest.raises(ValueError, match="1 <= i <= n"):
                 entry(3, i)
+
+
+def _exact(v):
+    """v as the command line writes it: an int outside [-2^63, 2^63) as its decimal string."""
+    return v if -(2**63) <= v < 2**63 else str(v)
+
+
+@pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 15) for i in range(1, n + 1)]
+                         + [(40, 40), (50, 25), (68, 19)])
+def test_json_output_is_json_dumps_of_the_library_table(n, i):
+    # the row template of fano --format json against the stdlib's encoder over
+    # the FanoRows of fano_multiplicities; l_dims and betti pass 2^63 in the last three
+    table = fano_multiplicities(n, i)
+    doc = {"n": n, "i": i, "complex_dim": table.complex_dim,
+           "l_dims": [_exact(d) for d in fano._l_dims(n, i)],
+           "rows": [{"k": row.k, "degree": 2 * row.k,
+                     "terms": [{"j": j, "mult": _exact(m)} for j, m in row.terms],
+                     "betti": _exact(row.betti)} for row in table.rows]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["fano", "--n", str(n), "--i", str(i), "--format", "json"]) == 0
+    text, expected = out.getvalue(), json.dumps(doc, indent=2) + "\n"
+    same = text == expected  # a bool, so that a failure is not a diff of megabytes
+    assert same, text[len(os.path.commonprefix([text, expected])):][:300]
+    assert (n < 40) == all(type(d) is int for d in doc["l_dims"] + [r["betti"] for r in doc["rows"]])

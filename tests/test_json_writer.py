@@ -7,6 +7,9 @@ signed 64-bit range is written as its decimal string.
 import enum
 import io
 import json
+import os
+import subprocess
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from springerq import _util, cli
 from springerq._util import _BATCH, _ROWS_PER_BATCH, Records, _pieces, write_json, write_lines
 
-from test_cli import GOLDEN_CASES, run_cli
+from test_cli import GOLDEN_CASES, SRC, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -406,3 +409,17 @@ def test_each_command_writes_the_same_bytes_without_the_c_encoder(monkeypatch, a
     batched = run_cli(argv + ["--format", "json"])
     monkeypatch.setattr(_util, "_encode_flat", None)
     assert run_cli(argv + ["--format", "json"]) == batched
+
+
+@pytest.mark.parametrize("name", ["orbits_n3.json", "stalks_n3.json", "kostka_21_111.json"])
+def test_without_the_json_accelerator_the_golden_documents_are_unchanged(name):
+    # with no _json module, _util takes json.encoder's pure-Python string
+    # encoder and has no C encoder, so it writes every value alone
+    code = ("import sys\nsys.modules['_json'] = None\n"
+            "from springerq import _util\nfrom springerq.cli import main\n"
+            "assert _util._encode_flat is None and _util._encode_str.__module__ == 'json.encoder'\n"
+            "sys.exit(main())\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, *GOLDEN_CASES[name]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, (GOLDEN / name).read_text(), "")

@@ -3,7 +3,6 @@ loads only the modules it runs."""
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -116,12 +115,20 @@ def test_an_unknown_attribute_raises_attribute_error(package):
 
 
 # Each probe runs in a fresh interpreter without site (python -S, whose
-# preloads could hide an import) and writes, at exit, the sorted names in
-# sys.modules as the last line of stderr.
-_AT_EXIT = ("import atexit, json, sys\n"
-            "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules)) + '\\n'))\n")
+# preloads could hide an import) and writes, at exit, the repr of the sorted
+# names in sys.modules as the last line of stderr (so that the probe loads no
+# json): from an atexit handler, or, as python -m springerq ends through
+# os._exit and runs none, from a wrapper around os._exit.
+_AT_EXIT = ("import atexit, sys\n"
+            "atexit.register(lambda: sys.stderr.write(repr(sorted(sys.modules)) + '\\n'))\n")
+_AT_OS_EXIT = ("import os, sys\n"
+               "def _exit(code, _exit=os._exit):\n"
+               "    sys.stderr.write(repr(sorted(sys.modules)) + '\\n')\n"
+               "    sys.stderr.flush()\n"
+               "    _exit(code)\n"
+               "os._exit = _exit\n")
 RUNNERS = {
-    "python -m springerq": _AT_EXIT + "import runpy\n"
+    "python -m springerq": _AT_OS_EXIT + "import runpy\n"
                           "runpy.run_module('springerq', run_name='__main__', alter_sys=True)\n",
     "springerq.cli:main": _AT_EXIT + "from springerq.cli import main\nsys.exit(main())\n",
 }
@@ -134,7 +141,7 @@ def all_modules(code, *argv):
     proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr, proc.stderr
-    return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+    return proc.returncode, set(ast.literal_eval(proc.stderr.splitlines()[-1]))
 
 
 def loaded_modules(code, *argv):
@@ -260,3 +267,11 @@ def test_no_command_loads_shutil(argv, shutil_in_argparse):
     code, modules = all_modules(RUNNERS["python -m springerq"], *argv)
     assert code in (0, 2) and "springerq.cli" in modules
     assert "shutil" not in modules or shutil_in_argparse
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_no_command_loads_the_json_package(argv):
+    # _util takes json.dumps's encoders from the _json accelerator, as json.encoder does
+    code, modules = all_modules(RUNNERS["python -m springerq"], *argv, "--format", "json")
+    assert code in (0, 2) and "springerq.cli" in modules
+    assert "_json" in modules and not {"json", "json.encoder"} & modules
