@@ -1,19 +1,18 @@
 """Small shared helpers, and the streaming writers write_json, write_tsv and write_pretty.
 
-write_json writes what json.dumps(doc, indent=2) writes, but for an int
-outside the signed 64-bit range, written as its decimal string by _int_text
-alone.  _pieces, the one walk over containers, hands each batch of up to
-_ROWS_PER_BATCH rows of values of exact type str, int, bool or None to
-_flat_text, which encodes it in one call of the stdlib's C encoder, and
-writes everything else value by value (_scalar), in the same bytes.  Each
-writer writes a Records with a table a block at a time (_rows_text), making
-the text of each table entry and of each block's values once.
+write_json writes what json.dumps(doc, indent=2) writes for an object of
+scalars and Records tables, but for an int outside the signed 64-bit range,
+written as its decimal string by _int_text alone.  It hands each batch of
+up to _ROWS_PER_BATCH table rows of values of exact type str, int, bool or
+None to _flat_text, which encodes it in one call of the stdlib's C encoder,
+and writes everything else value by value (_scalar), in the same bytes.
+Each writer writes a Records with a table a block at a time (_rows_text),
+making the text of each table entry and of each block's values once.
 """
 
 import itertools
 import math
 import re
-from collections.abc import Iterator
 
 try:  # json.dumps's string encoder (ensure_ascii=True) and C encoder, from _json as
     from _json import encode_basestring_ascii as _encode_str, make_encoder as _make_encoder
@@ -121,130 +120,91 @@ def _scalar(v):
     return _int_text(v, int.__repr__(v)) if isinstance(v, int) else None
 
 
-class Records(Iterator):
-    """A table as an iterator of dict(zip(header, row)), one per row, made as
-    it is consumed.  write_json instead writes each row from one template of
-    the header's keys, with no dict built and no key encoded again; so the
-    header must not repeat a key.  It takes up to _ROWS_PER_BATCH rows of
-    scalars before writing them, so a row must not be reused or changed
-    after it is yielded.  With a table, a list of tuples of one width, rows
-    are blocks (labels, values, kinds): a nonempty list of str, a tuple and
-    an index into table per label (bytes or ints), standing for the rows
-    (labels[i], *values, *table[kinds[i]]).
+class Records:
+    """A table: header, the keys of its fields, and rows, an iterable of lists
+    or tuples of values.  write_json writes each row as an object, from one
+    template of the header's keys, so the header must not repeat a key; it
+    takes up to _ROWS_PER_BATCH rows before writing them, so a row must not
+    be reused or changed after it is yielded.  With a table, a list of
+    tuples of one width, rows are blocks (labels, values, kinds): a nonempty
+    list of str, a tuple and an index into table per label (bytes or ints),
+    standing for the rows (labels[i], *values, *table[kinds[i]]).
     """
 
     def __init__(self, header, rows, table=None):
         self.header, self.rows, self.table = list(header), iter(rows), table
 
-    def __next__(self):
-        if self.table is not None:  # from here on, the rows of the blocks
-            table, self.table = self.table, None
-            self.rows = ((label, *values, *table[k]) for labels, values, kinds in self.rows
-                         for label, k in zip(labels, kinds))
-        return dict(zip(self.header, next(self.rows)))
 
-
-def _flat_text(batch, heads, opening, closing):
-    """The rows of batch joined by ",", each as opening, each value after its
-    head, with "," between the values, then closing; or None, for the
-    per-value path, unless batch holds lists or tuples of len(heads) values
-    of exact type str, int, bool or None and the C encoder is there."""
-    flat = (_encode_flat is not None and heads and _SEQUENCES.issuperset(map(type, batch))
-            and set(map(len, batch)) == {len(heads)} and list(itertools.chain.from_iterable(batch)))
+def _flat_text(batch, keys):
+    """The rows of batch as objects in an array of the document, joined by
+    ",", each value after its key; or None, for the per-value path, unless
+    batch holds lists or tuples of len(keys) values of exact type str, int,
+    bool or None and the C encoder is there."""
+    flat = (_encode_flat is not None and keys and _SEQUENCES.issuperset(map(type, batch))
+            and set(map(len, batch)) == {len(keys)} and list(itertools.chain.from_iterable(batch)))
     if not flat or not _FLAT_SCALARS.issuperset(map(type, flat)):
         return None
     text = "".join(_encode_flat(flat, 0))[1:-1]
     texts = text.split("\x00")
     if _LONG_TEXT.search("\x00" + text):
         texts = [_int_text(v, t) if len(t) > 18 and type(v) is int else t for t, v in zip(texts, flat)]
-    out = [closing + "," + opening + heads[0], None, *(x for h in heads[1:] for x in ("," + h, None))]
+    out = ["\n    },\n    {" + keys[0], None, *(x for k in keys[1:] for x in ("," + k, None))]
     out *= len(batch)
-    out[0] = opening + heads[0]
+    out[0] = "\n    {" + keys[0]
     out[1::2] = texts
-    out.append(closing)
+    out.append("\n    }")
     return "".join(out)
 
 
-def _fields(keys, values, indent) -> str:
-    """The text of each value after its key, each after a ",", in an object at indent."""
-    return "".join("," + k + (_scalar(v) or "".join(_pieces(v, indent + "  ")))
-                   for k, v in zip(keys, values))
+def _fields(keys, values) -> str:
+    """The text of each value after its key, each after a ","; TypeError
+    for a value that is not a str, int, bool or None."""
+    return "".join("," + k + (_scalar(v) or _refuse(v)) for k, v in zip(keys, values))
 
 
-def _pieces(value, indent):
-    """Yield the text of value, whose lines after the first start with indent
-    (a newline and its spaces), in pieces; anything but a dict, list, tuple,
-    iterator, Records, str, int, bool or None raises TypeError.
-
-    A scalar is one piece.  A dict streams one item per piece.  An array (a
-    list, tuple, iterator or Records) streams one batch per piece while its
-    rows are lists or tuples of scalars that _flat_text takes, then one row
-    per piece; a Records with a table, one block per piece.  Only an item
-    that is itself an iterator is streamed, the same way.  Every other item,
-    each value in a row of Records and each table entry is joined whole,
-    which costs far less for the many small tables nested in rows.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items, sep, closing = zip((f"{inner}{_encode_str(k)}: " for k in value), value.values()), "{", "}"
-    elif type(value) is Records or type(value) in _SEQUENCES or isinstance(value, Iterator):
-        sep, closing = "[", "]"
-        if type(value) is Records:  # not isinstance: an ABC's check would slow every list
-            keys, rows, edges = [f"{inner}  {_encode_str(k)}: " for k in value.header], value.rows, "{}"
-            heads = keys
-            if value.table is not None:  # one block per piece, each entry's text made once
-                head = inner + "{" + keys[0]
-                closings = [_fields(keys[len(keys) - len(e):], e, inner) + inner + "}," + head
-                            for e in value.table]
-                for labels, values, kinds in rows:  # each row's end opens the next, but the last
-                    ends = list(map(_fields(keys[1:], values, inner).__add__, closings))
-                    yield sep + head + _rows_text(map(_encode_str, labels), kinds, ends)[:-len(head) - 1]
-                    sep = ","
-                rows = ()
-        else:
-            keys, rows, edges = None, iter(value), "[]"
-        for row in rows:
-            batch = [row]
-            if type(row) in _SEQUENCES and _FLAT_SCALARS.issuperset(map(type, row)):
-                batch += itertools.islice(rows, _ROWS_PER_BATCH - 1)
-                if keys is None:
-                    heads = [inner + "  "] * len(row)
-                text = _flat_text(batch, heads, inner + edges[0], inner + edges[1])
-                if text is not None:
-                    yield sep + text
-                    sep = ","
-                    continue
-            rows = itertools.chain(batch, rows)
-            break
-        if keys is None:
-            items = zip(itertools.repeat(inner), rows)
-        else:  # each row one object, from the keys' texts
-            items = ()
-            for row in rows:
-                text = _fields(keys, row, inner)
-                yield f"{sep}{inner}{{{text[1:]}{inner}}}" if text else sep + inner + "{}"
-                sep = ","
-    else:
-        yield _scalar(value) or _refuse(value)
-        return
-    for head, item in items:
-        text = _scalar(item)
-        if text is None and isinstance(item, Iterator):
-            yield sep + head
-            yield from _pieces(item, inner)
-        else:
-            yield sep + head + (text or "".join(_pieces(item, inner)))
+def _table_pieces(table):
+    """Yield the text of the Records table as an array of the document, a
+    batch of rows per piece, or with a table a block per piece, each
+    entry's text made once."""
+    keys, rows, sep = [f"\n      {_encode_str(k)}: " for k in table.header], table.rows, "["
+    if table.table is not None:
+        head = "\n    {" + keys[0]
+        closings = [_fields(keys[len(keys) - len(e):], e) + "\n    }," + head for e in table.table]
+        for labels, values, kinds in rows:  # each row's end opens the next, but the last
+            ends = list(map(_fields(keys[1:], values).__add__, closings))
+            yield sep + head + _rows_text(map(_encode_str, labels), kinds, ends)[:-len(head) - 1]
+            sep = ","
+        rows = ()
+    for row in rows:
+        batch = [row, *itertools.islice(rows, _ROWS_PER_BATCH - 1)]
+        yield sep + (_flat_text(batch, keys) or ",".join(
+            f"\n    {{{text[1:]}\n    }}" if text else "\n    {}"
+            for text in (_fields(keys, r) for r in batch)))
         sep = ","
-    yield indent + closing if sep == "," else sep + closing
+    yield "\n  ]" if sep == "," else "[]"
+
+
+def _doc_pieces(doc):
+    """Yield the text of doc, a dict of scalars and Records, in pieces."""
+    sep = "{"
+    for key, value in dict.items(doc):  # TypeError unless doc is a dict
+        head = f"{sep}\n  {_encode_str(key)}: "
+        if type(value) is Records:
+            yield head
+            yield from _table_pieces(value)
+        else:
+            yield head + (_scalar(value) or _refuse(value))
+        sep = ","
+    yield "\n}" if sep == "," else "{}"
 
 
 def write_json(doc, write) -> None:
     """Write the text of json.dumps(doc, indent=2) through write_lines, with
     every int outside the signed 64-bit range written as a decimal string.
 
-    doc is built of dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else, floats included, raises TypeError.  An iterator is
-    written as an array as it is consumed, so a table never sits in memory
-    as objects or text, as with the stdlib's indenting encoder.
+    doc is a dict with str keys whose values are str, int, bool, None or a
+    Records of rows of those; anything else, floats included, raises
+    TypeError.  A Records is written as an array of objects as its rows are
+    consumed, so a table never sits in memory as objects or text.
     """
-    write_lines(_pieces(doc, "\n"), write)
+    write_lines(_doc_pieces(doc), write)

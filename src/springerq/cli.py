@@ -2,8 +2,8 @@
 
 Subcommands: orbits, stalks, fano, kostka, euler, ft-table, verify.  Every
 subcommand takes --format {pretty,json,tsv} (default pretty), which _util
-writes (write_json, write_tsv, write_pretty; fano's JSON text is fano's own)
-with no timestamps and fixed row and field order.  This module keeps the
+writes (write_json, write_tsv, write_pretty; stalks' and fano's JSON is their
+own) with no timestamps and fixed row and field order.  This module keeps the
 commands, the parser, main and console_main, the process's entry point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 74 stdout
@@ -68,19 +68,16 @@ MAX_STALKS_RANK = 42
 
 def _cmd_stalks(args) -> int:
     n = args.n
-    from .ic_engine import GRADING_NOTE, _solver_cases, closed_form_f, closed_form_t
+    from .ic_engine import _json_text, _solver_cases, closed_form_f, closed_form_t
     if args.check:
         _, failed = _first_failure(_solver_cases(n))
         if failed is not None:
             sys.stderr.write(f"stalks --check: {failed} disagrees with closed form\n")
             return 1
-    doc = {"rank": n, "grading": GRADING_NOTE,
-           "f": (closed_form_f(n, i).json_pairs() for i in range(n + 1)),
-           "t": ((closed_form_t(n, i, j).json_pairs() for j in range(i + 1))
-                 for i in range(1, n + 1))}
-    _output(args, doc, Records(["table", "i", "j", "poly"], itertools.chain(
+    _output(args, None, Records(["table", "i", "j", "poly"], itertools.chain(
         (["f", i, None, closed_form_f(n, i)] for i in range(n + 1)),
-        (["t", i, j, closed_form_t(n, i, j)] for i in range(1, n + 1) for j in range(i + 1)))))
+        (["t", i, j, closed_form_t(n, i, j)] for i in range(1, n + 1) for j in range(i + 1)))),
+        json=_json_text(n))
     return 0
 
 
@@ -116,7 +113,7 @@ def _cmd_kostka(args) -> int:
     shape, weight = Partition.parse(args.shape), Partition.parse(args.weight)
     value = kostka(shape, weight)
     doc = {"shape": shape.serialize(), "weight": weight.serialize(), "kostka": value}
-    _output(args, doc, Records(doc, [doc.values()]), pretty=[f"{value}\n"])
+    _output(args, doc, Records(doc, [tuple(doc.values())]), pretty=[f"{value}\n"])
     return 0
 
 

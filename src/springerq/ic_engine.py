@@ -164,6 +164,26 @@ def closed_form_t(n: int, i: int, j: int) -> LaurentPoly:
     return gaussian_binomial(i - j, 2 * n - i - j).shift(-(i - j) * (n - i))
 
 
+def _json_text(n: int):
+    """The text of `springerq stalks --format json`, a piece per polynomial:
+    what json.dumps(doc, indent=2) + "\n" writes for doc = {"rank": n,
+    "grading": GRADING_NOTE, "f": [f_i.json_pairs() for i in 0..n], "t":
+    [[T^i_j.json_pairs() for j in 0..i] for i in 1..n]}, from the closed
+    forms.  No polynomial is zero, so no array is empty."""
+    def poly(p, pair, end):
+        return "[" + ",".join([pair % ec for ec in p.to_pairs()]) + end
+    f_pair, t_pair = (f'\n{s}[\n{s}  %d,\n{s}  "%d"\n{s}]' for s in (" " * 6, " " * 8))
+    yield f'{{\n  "rank": {n},\n  "grading": "{GRADING_NOTE}",\n  "f": ['
+    for i in range(n + 1):
+        yield (",\n    " if i else "\n    ") + poly(closed_form_f(n, i), f_pair, "\n    ]")
+    opening = '\n  ],\n  "t": [\n    [\n      '
+    for i in range(1, n + 1):
+        for j in range(i + 1):
+            yield (",\n      " if j else opening) + poly(closed_form_t(n, i, j), t_pair, "\n      ]")
+        opening = "\n    ],\n    [\n      "
+    yield "\n    ]\n  ]\n}\n"
+
+
 def ic_stalk_poly(n: int, i: int, j: int) -> LaurentPoly:
     """Stalk polynomial of the i-th order-two IC sheaf at a point of the j-th orbit.
 

@@ -2,7 +2,7 @@
 cli.main, gives the exit code, stdout and stderr it was pinned with.
 golden/large_digests.json pins the largest outputs the same way; they take
 about 15 s, so they are replayed only with SPRINGERQ_LARGE_DIGESTS=1 set, as
-CI sets it; two of them are replayed again through a python -m springerq child.
+CI sets it; three of them are replayed again through a python -m springerq child.
 
     PYTHONPATH=src python tests/test_digests.py          # rewrite digests.json
     PYTHONPATH=src python tests/test_digests.py large    # rewrite large_digests.json
@@ -96,7 +96,8 @@ def test_large_output_matches_its_pinned_digest(argv, pinned_large):
 
 
 @large
-@pytest.mark.parametrize("argv", ["fano --n 120 --i 60 --format json", "orbits --n 22 --format json"])
+@pytest.mark.parametrize("argv", ["fano --n 120 --i 60 --format json", "orbits --n 22 --format json",
+                                  "stalks --n 42 --format json"])
 def test_large_output_of_a_child_on_a_pipe_matches_its_pinned_digest(argv, pinned_large):
     # python -m springerq ends through os._exit, which skips the interpreter's
     # teardown: only a real process shows that every byte is written first

@@ -1,6 +1,7 @@
 """The inductive stalk solver and its closed forms, and the Fourier-transform
 table and support classification of the order-two orbits (in partitions)."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from springerq import ic_engine
 from springerq.ic_engine import (
+    GRADING_NOTE,
     MultiplicityTable,
     StalkTable,
     closed_form_f,
@@ -345,6 +347,18 @@ def test_ic_stalk_poly_consistency():
     with pytest.raises(ValueError):
         ic_stalk_poly(2, 1, 2)
 
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_stalks_json_text_is_json_dumps_of_the_document(n):
+    # the template of stalks --format json against the stdlib's encoder over
+    # the document of json_pairs() of every closed form
+    doc = {"rank": n, "grading": GRADING_NOTE,
+           "f": [closed_form_f(n, i).json_pairs() for i in range(n + 1)],
+           "t": [[closed_form_t(n, i, j).json_pairs() for j in range(i + 1)] for i in range(1, n + 1)]}
+    pieces = list(ic_engine._json_text(n))
+    assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+    assert len(pieces) == 2 + (n + 1) + n * (n + 3) // 2  # head, end and one per polynomial
 
 # -- fake degrees ----------------------------------------------------------------
 
